@@ -66,11 +66,10 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 func main() {
 	var (
 		exps      = flag.String("exp", "all", "comma-separated artefacts: "+strings.Join(order, ", ")+", or all")
-		records   = flag.Int64("records", 0, "override trace records per core")
+		records   = flag.Int64("records", 0, "override trace records per core (0 = configuration default)")
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: full catalog)")
 		quick     = flag.Bool("quick", false, "use the small quick configuration")
 		parallel  = flag.Int("parallel", 0, "max simulations in flight (0 = GOMAXPROCS)")
-		intraPar  = flag.Int("intra-parallel", 0, "prepare workers for intra-run parallel simulation (PDES; 0 = sequential engine, results identical)")
 		progress  = flag.Bool("progress", false, "emit per-run progress/ETA lines on stderr")
 		jsonPath  = flag.String("json", "", "write per-run timing records (BENCH_*.json) to this file")
 		tsPath    = flag.String("timeseries", "", "write per-run interval time-series to this file (JSON, or CSV if the path ends in .csv)")
@@ -133,6 +132,12 @@ func main() {
 		fatal(err)
 	}
 
+	// Check -records up front for the same reason: a negative budget is a
+	// typo, not a request for the default.
+	if *records < 0 {
+		fatal(fmt.Errorf("-records must be ≥ 0 (0 = configuration default), got %d", *records))
+	}
+
 	// Parse -hosts up front for the same reason: a malformed or out-of-range
 	// count must fail before any sweep starts.
 	if *hosts != "" {
@@ -175,9 +180,6 @@ func main() {
 		}
 	}
 	opt.Workers = *parallel
-	if *intraPar > 0 {
-		opt.Intra.Workers = *intraPar
-	}
 	if *progress {
 		opt.Progress = stderr
 	}
@@ -234,24 +236,7 @@ func main() {
 	// telemetry before exiting nonzero, so a long sweep's data survives one
 	// broken figure builder.
 	if *jsonPath != "" {
-		// With -intra-parallel, also record the sequential-vs-PDES multi-host
-		// throughput pair: the perf trajectory of the intra-run engine across
-		// PRs lives in BENCH_*.json next to the per-run timings.
-		var ib, ib64 *intraBench
-		if *intraPar > 0 {
-			var err error
-			if ib, err = measureIntra(opt, *intraPar); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(stderr, "[intra bench: seq %.0f rec/s, pdes(%d) %.0f rec/s, speedup %.2fx]\n",
-				ib.SeqRecordsPerSec, ib.Workers, ib.PDESRecordsPerSec, ib.Speedup)
-			if ib64, err = measureIntra64(opt, *intraPar); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(stderr, "[intra bench 64h: seq %.0f rec/s, pdes(%d) %.0f rec/s, speedup %.2fx]\n",
-				ib64.SeqRecordsPerSec, ib64.Workers, ib64.PDESRecordsPerSec, ib64.Speedup)
-		}
-		if err := writeBench(*jsonPath, suite, opt, arts, time.Since(wallStart), *parallel, *intraPar, ib, ib64, *quick, failed != nil); err != nil {
+		if err := writeBench(*jsonPath, suite, opt, arts, time.Since(wallStart), *parallel, *quick, failed != nil); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(stderr, "[bench report written to %s]\n", *jsonPath)
@@ -335,7 +320,6 @@ type benchReport struct {
 	Partial        bool             `json:"partial,omitempty"`
 	Quick          bool             `json:"quick"`
 	Parallel       int              `json:"parallel"`
-	IntraParallel  int              `json:"intra_parallel,omitempty"`
 	GOMAXPROCS     int              `json:"gomaxprocs"`
 	RecordsPerCore int64            `json:"records_per_core"`
 	Seed           int64            `json:"seed"`
@@ -349,96 +333,6 @@ type benchReport struct {
 	// Store is the persistent result store's traffic for this invocation,
 	// present only when -store (or $PIPM_STORE) attached one.
 	Store *pipm.StoreStats `json:"store,omitempty"`
-	// IntraBench is the sequential-vs-PDES throughput pair recorded when
-	// -intra-parallel is set (see measureIntra). IntraBench64 is the same
-	// measurement at 64 hosts — sharded directory, full-width sharer mask —
-	// with per-core records scaled so total trace volume matches the base
-	// pair's.
-	IntraBench   *intraBench `json:"intra_bench,omitempty"`
-	IntraBench64 *intraBench `json:"intra_bench_64,omitempty"`
-}
-
-// intraBench records one multi-host run timed on both engines. The two runs
-// produce bit-identical Results (checked before the report is written);
-// only wall-clock differs.
-type intraBench struct {
-	Workload          string  `json:"workload"`
-	Scheme            string  `json:"scheme"`
-	Hosts             int     `json:"hosts"`
-	Cores             int     `json:"cores_per_host"`
-	RecordsPerCore    int64   `json:"records_per_core"`
-	Workers           int     `json:"workers"`
-	SeqWallMS         float64 `json:"seq_wall_ms"`
-	PDESWallMS        float64 `json:"pdes_wall_ms"`
-	SeqRecordsPerSec  float64 `json:"seq_records_per_sec"`
-	PDESRecordsPerSec float64 `json:"pdes_records_per_sec"`
-	Speedup           float64 `json:"speedup"`
-}
-
-// measureIntra times one multi-host pr/PIPM run on the sequential engine
-// and on the PDES engine with the requested worker count, and requires the
-// two Results to be bit-identical before reporting throughput.
-func measureIntra(opt pipm.SuiteOptions, workers int) (*intraBench, error) {
-	return measureIntraAt(opt.Cfg, opt.RecordsPerCore, opt.Seed, workers)
-}
-
-// measureIntra64 is measureIntra at 64 hosts: the config scaled through
-// pipm.ScaleForHosts (sharded directory widened with the host count) and
-// per-core records shrunk so total trace volume matches the base pair's.
-func measureIntra64(opt pipm.SuiteOptions, workers int) (*intraBench, error) {
-	const hosts = 64
-	cfg := pipm.ScaleForHosts(opt.Cfg, hosts)
-	records := pipm.ClusterScaleRecords(opt.RecordsPerCore, opt.Cfg.Hosts, hosts)
-	if workers > hosts {
-		workers = hosts
-	}
-	return measureIntraAt(cfg, records, opt.Seed, workers)
-}
-
-func measureIntraAt(cfg pipm.Config, records, seed int64, workers int) (*intraBench, error) {
-	wl, err := pipm.WorkloadByName("pr")
-	if err != nil {
-		return nil, err
-	}
-	totalRecords := records * int64(cfg.Hosts) * int64(cfg.CoresPerHost)
-
-	seqStart := time.Now()
-	seqRes, err := pipm.Run(cfg, wl, pipm.PIPM, records, seed)
-	if err != nil {
-		return nil, err
-	}
-	seqWall := time.Since(seqStart)
-
-	pdesStart := time.Now()
-	pdesRes, err := pipm.RunIntra(cfg, wl, pipm.PIPM, records, seed, workers)
-	if err != nil {
-		return nil, err
-	}
-	pdesWall := time.Since(pdesStart)
-
-	if seqRes != pdesRes {
-		return nil, fmt.Errorf("intra bench: PDES result diverged from sequential engine")
-	}
-	ib := &intraBench{
-		Workload:       wl.Name,
-		Scheme:         pipm.PIPM.String(),
-		Hosts:          cfg.Hosts,
-		Cores:          cfg.CoresPerHost,
-		RecordsPerCore: records,
-		Workers:        workers,
-		SeqWallMS:      float64(seqWall) / float64(time.Millisecond),
-		PDESWallMS:     float64(pdesWall) / float64(time.Millisecond),
-	}
-	if s := seqWall.Seconds(); s > 0 {
-		ib.SeqRecordsPerSec = float64(totalRecords) / s
-	}
-	if s := pdesWall.Seconds(); s > 0 {
-		ib.PDESRecordsPerSec = float64(totalRecords) / s
-	}
-	if pdesWall > 0 {
-		ib.Speedup = float64(seqWall) / float64(pdesWall)
-	}
-	return ib, nil
 }
 
 type artefactTiming struct {
@@ -448,15 +342,12 @@ type artefactTiming struct {
 }
 
 func writeBench(path string, s *pipm.Suite, opt pipm.SuiteOptions,
-	arts []*artefact, total time.Duration, parallel, intraPar int, ib, ib64 *intraBench, quick, partial bool) error {
+	arts []*artefact, total time.Duration, parallel int, quick, partial bool) error {
 	rep := benchReport{
 		Schema:         "pipm-bench/v1",
 		Partial:        partial,
 		Quick:          quick,
 		Parallel:       parallel,
-		IntraParallel:  intraPar,
-		IntraBench:     ib,
-		IntraBench64:   ib64,
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		RecordsPerCore: opt.RecordsPerCore,
 		Seed:           opt.Seed,

@@ -37,7 +37,6 @@ func main() {
 		cores    = flag.Int("cores", 0, "override cores per host (0 = config default)")
 		shared   = flag.Int64("shared", 0, "override shared heap size in MiB (0 = config default)")
 		compare  = flag.Bool("compare", false, "also run the native baseline and report speedup")
-		intraPar = flag.Int("intra-parallel", 0, "prepare workers for intra-run parallel simulation (PDES; 0 = sequential engine, results identical)")
 		tracedir = flag.String("tracedir", "", "replay binary traces (h<h>c<c>.trc, from tracegen -outdir) instead of generating")
 
 		tsPath    = flag.String("timeseries", "", "write the run's interval time-series to this file (JSON, or CSV if the path ends in .csv)")
@@ -79,6 +78,20 @@ func main() {
 			if err := pipm.ProbeOutputFile(path); err != nil {
 				fatal(err)
 			}
+		}
+	}
+
+	// Size overrides fail fast: a negative count is a typo, not a request
+	// for the default, and a zero record budget simulates nothing.
+	if *records < 1 {
+		fatal(fmt.Errorf("-records must be ≥ 1, got %d", *records))
+	}
+	for _, o := range []struct {
+		name string
+		v    int64
+	}{{"hosts", int64(*hosts)}, {"cores", int64(*cores)}, {"shared", *shared}} {
+		if o.v < 0 {
+			fatal(fmt.Errorf("-%s must be ≥ 0 (0 = config default), got %d", o.name, o.v))
 		}
 	}
 
@@ -124,7 +137,7 @@ func main() {
 	case *tracedir != "":
 		// Replayed traces have no canonical run key (the trace files are not
 		// part of any hashable recipe), so the store never applies here.
-		res, tout, err2 = runFromTraces(cfg, k, *tracedir, topt, *intraPar)
+		res, tout, err2 = runFromTraces(cfg, k, *tracedir, topt)
 	case *storeDir != "":
 		// Route through the store-backed runner: an identical earlier run —
 		// from this tool or a whole experiments sweep — answers from disk.
@@ -132,7 +145,7 @@ func main() {
 		if st, err2 = pipm.OpenStore(*storeDir); err2 == nil {
 			runner := pipm.NewRunner(pipm.SuiteOptions{Store: st})
 			req := pipm.RunRequest{Cfg: cfg, WL: wl, Scheme: k, Records: *records, Seed: *seed,
-				Telemetry: topt, Intra: pipm.IntraOptions{Workers: *intraPar}}
+				Telemetry: topt}
 			res, err2 = runner.Get(req)
 			tout = runner.Telemetry(req)
 			if stats, ok := runner.StoreStats(); ok && err2 == nil {
@@ -143,7 +156,7 @@ func main() {
 		}
 	default:
 		res, tout, err2 = pipm.RunWithOptions(cfg, wl, k, *records, *seed,
-			pipm.RunOptions{Telemetry: topt, Intra: pipm.IntraOptions{Workers: *intraPar}})
+			pipm.RunOptions{Telemetry: topt})
 	}
 	if err2 != nil {
 		fatal(err2)
@@ -211,15 +224,12 @@ func writeTo(path string, write func(io.Writer) error) error {
 }
 
 // runFromTraces replays tracegen -outdir output through the machine.
-func runFromTraces(cfg pipm.Config, k pipm.Scheme, dir string, topt pipm.TelemetryOptions, intraWorkers int) (pipm.Result, *pipm.TelemetryOutput, error) {
+func runFromTraces(cfg pipm.Config, k pipm.Scheme, dir string, topt pipm.TelemetryOptions) (pipm.Result, *pipm.TelemetryOutput, error) {
 	m, err := pipm.NewMachine(cfg, k)
 	if err != nil {
 		return pipm.Result{}, nil, err
 	}
 	if err := m.EnableTelemetry(topt); err != nil {
-		return pipm.Result{}, nil, err
-	}
-	if err := m.EnableIntraParallel(pipm.IntraOptions{Workers: intraWorkers}); err != nil {
 		return pipm.Result{}, nil, err
 	}
 	var files []*os.File

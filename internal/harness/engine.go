@@ -12,7 +12,6 @@ import (
 
 	"pipm/internal/audit"
 	"pipm/internal/config"
-	"pipm/internal/machine"
 	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/store"
@@ -39,17 +38,11 @@ type RunRequest struct {
 	// with violations fails (get returns the report's error). Enabled audit
 	// is part of the run identity, like Telemetry.
 	Audit audit.Options
-
-	// Intra, when enabled, runs the simulation on the intra-run parallel
-	// engine (DESIGN.md §13). Results are bit-identical to the sequential
-	// engine's, but the engine configuration joins the run identity like
-	// Telemetry/Audit so determinism tests can force distinct executions.
-	Intra machine.IntraOptions
 }
 
 // Key returns the request's canonical run key.
 func (r RunRequest) Key() RunKey {
-	return keyOf(r.Cfg, r.WL, r.Scheme, r.Records, r.Seed, r.Telemetry, r.Audit, r.Intra)
+	return keyOf(r.Cfg, r.WL, r.Scheme, r.Records, r.Seed, r.Telemetry, r.Audit)
 }
 
 // RunStats is the observability record of one executed simulation: how long
@@ -274,7 +267,7 @@ func (e *engine) getOnce(ctx context.Context, req RunRequest) (Result, error) {
 	start := time.Now()
 	ent.res, ent.telem, ent.report, ent.err = RunOneOpts(
 		req.Cfg, req.WL, req.Scheme, req.Records, req.Seed,
-		RunOpts{Telemetry: req.Telemetry, Audit: req.Audit, Intra: req.Intra})
+		RunOpts{Telemetry: req.Telemetry, Audit: req.Audit})
 	if ent.err == nil {
 		// An invariant violation fails the run exactly like a build error
 		// would: every requester of this key sees it.

@@ -136,8 +136,7 @@ var clusterScaleSchemes = []migration.Kind{
 // The 4-host base is returned untouched apart from the host count, so the
 // small point of the sweep shares the quick sweep's exact machine shape; at
 // 16 hosts and beyond the device directory grows power-of-two slices toward
-// min(hosts, 64) so per-slice occupancy — and the slice mutex pressure an
-// intra-run parallel engine sees — stays flat as the cluster grows.
+// min(hosts, 64) so per-slice occupancy stays flat as the cluster grows.
 func ScaleForHosts(cfg config.Config, hosts int) config.Config {
 	cfg.Hosts = hosts
 	if hosts >= 16 {

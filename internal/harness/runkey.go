@@ -11,7 +11,6 @@ import (
 
 	"pipm/internal/audit"
 	"pipm/internal/config"
-	"pipm/internal/machine"
 	"pipm/internal/migration"
 	"pipm/internal/telemetry"
 	"pipm/internal/workload"
@@ -36,20 +35,16 @@ func (k RunKey) Short() string { return hex.EncodeToString(k[:6]) }
 // added to either struct in a future PR automatically changes the key space
 // instead of silently aliasing old entries.
 func KeyOf(cfg config.Config, wl workload.Params, k migration.Kind, records, seed int64) RunKey {
-	return keyOf(cfg, wl, k, records, seed, telemetry.Options{}, audit.Options{}, machine.IntraOptions{})
+	return keyOf(cfg, wl, k, records, seed, telemetry.Options{}, audit.Options{})
 }
 
-// keyOf additionally folds telemetry, audit and intra-parallel
-// configurations into the key — but only when enabled. Disabled runs hash
-// exactly as before, so every memoized key of a plain sweep stays valid;
-// enabled runs get their own entries because the engine must keep the
-// collected output (or the audit report, whose pass/fail semantics differ)
-// alongside the Result. Intra-parallel results are bit-identical to
-// sequential ones, but the engine configuration under test is still part of
-// the run identity — a determinism matrix that asks for 1- and 8-worker
-// runs must execute both, not serve one from the other's memo entry.
+// keyOf additionally folds telemetry and audit configurations into the key
+// — but only when enabled. Disabled runs hash exactly as before, so every
+// memoized key of a plain sweep stays valid; enabled runs get their own
+// entries because the engine must keep the collected output (or the audit
+// report, whose pass/fail semantics differ) alongside the Result.
 func keyOf(cfg config.Config, wl workload.Params, k migration.Kind, records, seed int64,
-	topt telemetry.Options, aopt audit.Options, iopt machine.IntraOptions) RunKey {
+	topt telemetry.Options, aopt audit.Options) RunKey {
 	h := sha256.New()
 	enc := canonEncoder{h: h}
 	enc.value("cfg", reflect.ValueOf(cfg))
@@ -62,9 +57,6 @@ func keyOf(cfg config.Config, wl workload.Params, k migration.Kind, records, see
 	}
 	if aopt.Enabled() {
 		enc.value("audit", reflect.ValueOf(aopt))
-	}
-	if iopt.Enabled() {
-		enc.value("intra", reflect.ValueOf(iopt))
 	}
 	var key RunKey
 	h.Sum(key[:0])

@@ -49,8 +49,8 @@ func TestServeAuditedSmoke(t *testing.T) {
 // TestServeComparisonDeterministicAcrossWorkers renders the full
 // ServeComparison figure on a 1-worker engine and an 8-worker engine and
 // requires byte-identical tables — the engine-parallel half of the serve
-// determinism guarantee (the intra-parallel half lives in
-// TestIntraDeterminismMatrix). A reduced record budget keeps the double
+// determinism guarantee (the single-run half lives in
+// TestInstrumentedRunDeterminism). A reduced record budget keeps the double
 // sweep affordable; determinism is budget-independent.
 func TestServeComparisonDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {

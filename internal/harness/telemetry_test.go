@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pipm/internal/audit"
-	"pipm/internal/machine"
 	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/telemetry"
@@ -144,23 +143,18 @@ func TestRunKeyTelemetryFolding(t *testing.T) {
 	wl := o.Workloads[0]
 	base := KeyOf(o.Cfg, wl, migration.PIPM, 100, 1)
 	disabled := keyOf(o.Cfg, wl, migration.PIPM, 100, 1,
-		telemetry.Options{}, audit.Options{}, machine.IntraOptions{})
+		telemetry.Options{}, audit.Options{})
 	if base != disabled {
 		t.Fatal("zero telemetry options changed the run key")
 	}
 	enabled := keyOf(o.Cfg, wl, migration.PIPM, 100, 1,
-		telemetry.Options{SampleInterval: 10 * sim.Microsecond}, audit.Options{}, machine.IntraOptions{})
+		telemetry.Options{SampleInterval: 10 * sim.Microsecond}, audit.Options{})
 	if enabled == base {
 		t.Fatal("enabled telemetry did not change the run key")
 	}
 	audited := keyOf(o.Cfg, wl, migration.PIPM, 100, 1,
-		telemetry.Options{}, audit.Options{Mode: audit.Quantum}.WithDefaults(), machine.IntraOptions{})
+		telemetry.Options{}, audit.Options{Mode: audit.Quantum}.WithDefaults())
 	if audited == base || audited == enabled {
 		t.Fatal("enabled auditing did not get its own run key")
-	}
-	intra := keyOf(o.Cfg, wl, migration.PIPM, 100, 1,
-		telemetry.Options{}, audit.Options{}, machine.IntraOptions{Workers: 4})
-	if intra == base || intra == enabled || intra == audited {
-		t.Fatal("enabled intra parallelism did not get its own run key")
 	}
 }

@@ -111,10 +111,6 @@ type Machine struct {
 	// disabled); see values.go.
 	vals *valTracker
 
-	// Intra-run parallel engine configuration (see intra.go); the zero
-	// value keeps the classic sequential engine.
-	intra IntraOptions
-
 	// Telemetry (nil handles when disabled; see telemetry.go). Hot paths
 	// call nil-safe methods, so the disabled cost is one predictable branch.
 	tel    *telemetry.Registry
@@ -291,46 +287,32 @@ func (m *Machine) Run() error {
 			m.liveCores++
 		}
 	}
-	if !m.intra.Enabled() {
-		if w := envIntraWorkers(); w > 0 {
-			m.intra = IntraOptions{Workers: w}
-		}
-	}
-	if m.intra.Enabled() {
-		m.setupIntra()
-	}
-	// Core step chains live on their host's partition; every periodic tick
-	// chain lives on partition 0, the windowed runner's barrier partition.
-	// In classic (non-intra) mode AtPart is At, and the At call order below
-	// fixes the same (time, seq) total order either way.
+	// The At call order below fixes the (time, seq) total order of the
+	// run's opening events: every core's first step, then the tick chains.
 	for _, hs := range m.hosts {
 		for _, c := range hs.cores {
 			// One step closure per core for the whole run: stepCore re-arms
 			// with it, so the per-quantum re-schedule never allocates.
 			c := c
 			c.step = func() { m.stepCore(c) }
-			m.eng.AtPart(1+hs.id, 0, c.step)
+			m.eng.At(0, c.step)
 		}
 	}
 	if m.policy != nil {
-		m.eng.AtPart(0, m.cfg.Kernel.Interval, m.kernelTickFn)
+		m.eng.At(m.cfg.Kernel.Interval, m.kernelTickFn)
 	}
 	// Footprint sampling for every scheme, on the kernel interval cadence.
-	m.eng.AtPart(0, m.cfg.Kernel.Interval/2, m.sampleFootprintFn)
+	m.eng.At(m.cfg.Kernel.Interval/2, m.sampleFootprintFn)
 	if m.tel != nil {
 		// Baseline snapshot at t=0 (after every core's first step, which is
 		// scheduled earlier at the same instant), then interval ticks.
-		m.eng.AtPart(0, 0, func() { m.tel.Snapshot(0) })
-		m.eng.AtPart(0, m.telOpt.SampleInterval, m.telemetryTickFn)
+		m.eng.At(0, func() { m.tel.Snapshot(0) })
+		m.eng.At(m.telOpt.SampleInterval, m.telemetryTickFn)
 	}
 	if m.aud != nil {
-		m.eng.AtPart(0, m.auditEvery, m.auditTickFn)
+		m.eng.At(m.auditEvery, m.auditTickFn)
 	}
-	if m.intra.Enabled() {
-		m.eng.RunWindowed()
-	} else {
-		m.eng.Run()
-	}
+	m.eng.Run()
 	if m.aud != nil {
 		// Closing sweep over the final state.
 		m.auditSweep(true)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pipm/internal/harness"
 	"pipm/internal/migration"
 	"pipm/internal/store"
 	"pipm/internal/workload"
@@ -500,6 +501,49 @@ func TestExpand(t *testing.T) {
 	}
 	if _, _, err := Expand(SweepSpec{Quick: true}, 2); err == nil {
 		t.Fatalf("Expand accepted a sweep over the run limit")
+	}
+}
+
+// TestExpandShapeOverrides pins the system-shape overrides to the offline
+// CLIs' machine: a host count goes through harness.ScaleForHosts, so a spec
+// and a pipmsim/experiments run of the same cluster size share run keys and
+// therefore store entries. Negative sizes are rejected instead of silently
+// meaning "default".
+func TestExpandShapeOverrides(t *testing.T) {
+	base := harness.QuickOptions()
+	for _, tc := range []struct {
+		name    string
+		spec    SweepSpec
+		hosts   int // host count of the offline machine the keys must match
+		wantErr bool
+	}{
+		{name: "default", spec: SweepSpec{Quick: true}, hosts: base.Cfg.Hosts},
+		{name: "hosts=4", spec: SweepSpec{Quick: true, Hosts: 4}, hosts: 4},
+		{name: "hosts=64", spec: SweepSpec{Quick: true, Hosts: 64}, hosts: 64},
+		{name: "records=-5", spec: SweepSpec{Quick: true, Records: -5}, wantErr: true},
+		{name: "hosts=-1", spec: SweepSpec{Quick: true, Hosts: -1}, wantErr: true},
+		{name: "cores=-1", spec: SweepSpec{Quick: true, Cores: -1}, wantErr: true},
+		{name: "shared_mib=-1", spec: SweepSpec{Quick: true, SharedMiB: -1}, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs, _, err := Expand(tc.spec, 0)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("Expand(%+v) accepted a negative size", tc.spec)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := harness.ScaleForHosts(base.Cfg, tc.hosts)
+			for _, r := range runs {
+				want := harness.KeyOf(cfg, r.Req.WL, r.Req.Scheme, base.RecordsPerCore, base.Seed).String()
+				if r.Key != want {
+					t.Errorf("%s/%s: daemon key %s… != offline key %s…", r.Workload, r.Scheme, r.Key[:12], want[:12])
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package service is the experiment service: a long-running HTTP daemon in
 // front of the harness run-graph engine and the persistent result store
 // (DESIGN.md §15). Clients submit sweep specifications (workloads × schemes
-// × budget, plus the optional telemetry/audit/intra subsystems), the service
+// × budget, plus the optional telemetry/audit subsystems), the service
 // expands them into canonical RunRequests and executes them on one shared
 // harness.Runner — so concurrent identical submissions dedupe through the
 // engine's singleflight memo, a warm store answers repeats from disk, and a
@@ -20,7 +20,6 @@ import (
 
 	"pipm/internal/audit"
 	"pipm/internal/harness"
-	"pipm/internal/machine"
 	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/telemetry"
@@ -38,7 +37,8 @@ type SweepSpec struct {
 	// Schemes are registry names ("pipm", "native", ...); empty or
 	// ["all"] means every registered scheme in presentation order.
 	Schemes []string `json:"schemes,omitempty"`
-	// Records is the per-core trace budget; 0 means the base default.
+	// Records is the per-core trace budget; 0 means the base default and
+	// negative values are rejected.
 	Records int64 `json:"records_per_core,omitempty"`
 	// Seed seeds the workload generators; 0 means the base default (1).
 	Seed int64 `json:"seed,omitempty"`
@@ -46,7 +46,10 @@ type SweepSpec struct {
 	// sizing) instead of the full scaled sweep configuration.
 	Quick bool `json:"quick,omitempty"`
 
-	// Optional system-shape overrides (0 keeps the base configuration).
+	// Optional system-shape overrides (0 keeps the base configuration;
+	// negative values are rejected). A host count goes through
+	// harness.ScaleForHosts, exactly like the offline CLIs' -hosts, so the
+	// same cluster size yields the same machine and the same run keys.
 	Hosts     int   `json:"hosts,omitempty"`
 	Cores     int   `json:"cores_per_host,omitempty"`
 	SharedMiB int64 `json:"shared_mib,omitempty"`
@@ -62,10 +65,6 @@ type SweepSpec struct {
 	// or "paranoid". Audited runs always execute — they bypass the result
 	// store in both directions.
 	Audit string `json:"audit,omitempty"`
-
-	// IntraWorkers > 0 runs each simulation on the intra-run parallel
-	// engine (PDES) with that many prepare workers.
-	IntraWorkers int `json:"intra_workers,omitempty"`
 }
 
 // SweepRun is one expanded run of a sweep: the full request plus the
@@ -87,9 +86,21 @@ func Expand(spec SweepSpec, maxRuns int) (runs []SweepRun, id string, err error)
 		base = harness.QuickOptions()
 	}
 
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"records_per_core", spec.Records}, {"hosts", int64(spec.Hosts)},
+		{"cores_per_host", int64(spec.Cores)}, {"shared_mib", spec.SharedMiB},
+	} {
+		if f.v < 0 {
+			return nil, "", fmt.Errorf("%s must be ≥ 0 (0 = base default), got %d", f.name, f.v)
+		}
+	}
+
 	cfg := base.Cfg
 	if spec.Hosts > 0 {
-		cfg.Hosts = spec.Hosts
+		cfg = harness.ScaleForHosts(cfg, spec.Hosts)
 	}
 	if spec.Cores > 0 {
 		cfg.CoresPerHost = spec.Cores
@@ -132,11 +143,6 @@ func Expand(spec SweepSpec, maxRuns int) (runs []SweepRun, id string, err error)
 		aopt.Mode = mode
 	}
 
-	var iopt machine.IntraOptions
-	if spec.IntraWorkers > 0 {
-		iopt.Workers = spec.IntraWorkers
-	}
-
 	wls := base.Workloads
 	if len(spec.Workloads) > 0 {
 		wls = wls[:0:0]
@@ -166,7 +172,7 @@ func Expand(spec SweepSpec, maxRuns int) (runs []SweepRun, id string, err error)
 		for _, k := range kinds {
 			req := harness.RunRequest{
 				Cfg: cfg, WL: wl, Scheme: k, Records: records, Seed: seed,
-				Telemetry: topt, Audit: aopt, Intra: iopt,
+				Telemetry: topt, Audit: aopt,
 			}
 			key := req.Key().String()
 			if seen[key] {

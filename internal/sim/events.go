@@ -29,15 +29,9 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
-// Engine is a deterministic discrete-event scheduler. Events scheduled for
-// the same instant run in the order they were scheduled.
-//
-// The engine has two modes. The classic mode keeps one global event heap.
-// Partition (see pdes.go) switches to partitioned mode: one heap per
-// partition, a cross-partition message queue, and a windowed runner with a
-// parallel prepare phase. Both modes execute events in exactly the same
-// total order — ascending (At, seq) — so a partitioned run is bit-identical
-// to a classic one by construction.
+// Engine is a deterministic discrete-event scheduler over one event heap.
+// Events run in ascending (At, seq) order, so events scheduled for the same
+// instant run in the order they were scheduled.
 type Engine struct {
 	now     Time
 	nextSeq uint64
@@ -47,13 +41,6 @@ type Engine struct {
 	// simulation schedules roughly one event per event retired, so without a
 	// freelist every At is a heap allocation on the hot path.
 	free []*Event
-
-	// Partitioned mode (pdes.go); parts == nil selects the classic mode.
-	parts     []*partition
-	cur       int   // partition of the currently-executing event
-	msgs      []msg // undelivered cross-partition messages
-	lookahead Time
-	workers   int
 }
 
 // maxFree bounds the freelist so a scheduling burst (e.g. the per-core seed
@@ -69,20 +56,12 @@ func (e *Engine) Now() Time { return e.now }
 // EventsRun reports how many events have executed.
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
-// Pending reports how many events are waiting to run, counting undelivered
-// cross-partition messages.
-func (e *Engine) Pending() int {
-	n := len(e.events) + len(e.msgs)
-	for _, p := range e.parts {
-		n += len(p.events)
-	}
-	return n
-}
+// Pending reports how many events are waiting to run.
+func (e *Engine) Pending() int { return len(e.events) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a component bug, and silently reordering time would
-// corrupt every downstream measurement. In partitioned mode the event joins
-// the partition of the event currently executing (AtPart overrides).
+// corrupt every downstream measurement.
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
@@ -98,10 +77,6 @@ func (e *Engine) At(t Time, fn func()) {
 	}
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	if e.parts != nil {
-		heap.Push(&e.parts[e.cur].events, ev)
-		return
-	}
 	heap.Push(&e.events, ev)
 }
 
@@ -111,17 +86,6 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // Step runs the single earliest pending event. It reports false when no
 // events remain.
 func (e *Engine) Step() bool {
-	if len(e.msgs) > 0 {
-		e.flushMsgs()
-	}
-	if e.parts != nil {
-		p := e.minPart()
-		if p < 0 {
-			return false
-		}
-		e.stepPart(p)
-		return true
-	}
 	if len(e.events) == 0 {
 		return false
 	}
@@ -145,32 +109,10 @@ func (e *Engine) Run() {
 	}
 }
 
-// peek returns the time of the earliest pending event across all heaps.
-func (e *Engine) peek() (Time, bool) {
-	if e.parts != nil {
-		p := e.minPart()
-		if p < 0 {
-			return 0, false
-		}
-		return e.parts[p].events[0].At, true
-	}
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].At, true
-}
-
 // RunUntil executes events with time ≤ deadline, then advances the clock to
 // the deadline. Events beyond the deadline stay queued.
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		if len(e.msgs) > 0 {
-			e.flushMsgs()
-		}
-		t, ok := e.peek()
-		if !ok || t > deadline {
-			break
-		}
+	for len(e.events) > 0 && e.events[0].At <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

@@ -138,17 +138,9 @@ func RunWithTelemetry(cfg Config, wl Workload, s Scheme, records, seed int64,
 	return harness.RunOneT(cfg, wl, s, records, seed, topt)
 }
 
-// IntraOptions configures intra-run parallel simulation (conservative
-// PDES): the machine partitions its event engine per host and prefetches
-// trace records on Workers goroutines between lookahead windows, while
-// commits stay serialised in global order — results are bit-identical to
-// the sequential engine at any worker count (DESIGN.md §13). The zero value
-// keeps the classic sequential engine.
-type IntraOptions = machine.IntraOptions
-
-// RunOptions bundles the optional per-run subsystems: telemetry collection,
-// the runtime invariant auditor, and the intra-run parallel engine. Each
-// field's zero value disables its subsystem.
+// RunOptions bundles the optional per-run subsystems: telemetry collection
+// and the runtime invariant auditor. Each field's zero value disables its
+// subsystem.
 type RunOptions = harness.RunOpts
 
 // RunWithOptions is Run with any combination of optional subsystems
@@ -161,17 +153,6 @@ func RunWithOptions(cfg Config, wl Workload, s Scheme, records, seed int64,
 		err = rep.Err()
 	}
 	return r, tout, err
-}
-
-// RunIntra is Run on the intra-run parallel engine with the given prepare
-// worker count (see IntraOptions); workers ≤ 0 runs the sequential engine.
-func RunIntra(cfg Config, wl Workload, s Scheme, records, seed int64, workers int) (Result, error) {
-	if workers <= 0 {
-		return Run(cfg, wl, s, records, seed)
-	}
-	r, _, _, err := harness.RunOneOpts(cfg, wl, s, records, seed,
-		harness.RunOpts{Intra: IntraOptions{Workers: workers}})
-	return r, err
 }
 
 // Speedup returns base's execution time over r's (>1 ⇒ r is faster).
