@@ -52,12 +52,6 @@ func (s State) Dirty() bool { return s == Modified || s == MigratedExclusive }
 // Valid reports whether the state holds data.
 func (s State) Valid() bool { return s != Invalid }
 
-type line struct {
-	tag   config.Addr // full line address (tag+index combined; simple and safe)
-	state State
-	lru   uint64
-}
-
 // Eviction describes a line displaced by a fill.
 type Eviction struct {
 	Line  config.Addr // line address of the victim
@@ -74,14 +68,29 @@ type Stats struct {
 }
 
 // Cache is one set-associative cache level.
+//
+// A way's tag and state are packed into one key, line<<3 | state, with 0
+// meaning invalid (DESIGN.md §16.3); LRU stamps live in a parallel array.
+// A probe scans only the keys, so a 16-way set costs two host cache lines
+// instead of six.
 type Cache struct {
 	name    string
 	ways    int
 	setMask config.Addr
-	lines   []line // sets*ways, flat
+	keys    []uint64 // sets*ways, flat; line<<stateBits | state, 0 = invalid
+	lru     []uint64 // sets*ways, flat; meaningful only for valid ways
 	tick    uint64
 	stats   Stats
 }
+
+// stateBits is the width of the state field in a packed key.
+const stateBits = 3
+
+func key(lineAddr config.Addr, st State) uint64 { return uint64(lineAddr)<<stateBits | uint64(st) }
+
+func keyLine(k uint64) config.Addr { return config.Addr(k >> stateBits) }
+
+func keyState(k uint64) State { return State(k & (1<<stateBits - 1)) }
 
 // New builds a cache from its configuration. The set count must be a power
 // of two (config.Validate enforces this).
@@ -94,26 +103,31 @@ func New(name string, cfg config.CacheConfig) *Cache {
 		name:    name,
 		ways:    cfg.Ways,
 		setMask: config.Addr(sets - 1),
-		lines:   make([]line, sets*cfg.Ways),
+		keys:    make([]uint64, sets*cfg.Ways),
+		lru:     make([]uint64, sets*cfg.Ways),
 	}
 }
 
-func (c *Cache) set(lineAddr config.Addr) []line {
-	idx := int(lineAddr&c.setMask) * c.ways
-	return c.lines[idx : idx+c.ways]
+// find returns the flat index of lineAddr's valid way, or -1.
+func (c *Cache) find(lineAddr config.Addr) int {
+	base := int(lineAddr&c.setMask) * c.ways
+	want := uint64(lineAddr) << stateBits
+	for i, k := range c.keys[base : base+c.ways] {
+		if k^want < 1<<stateBits && k != 0 {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup probes for lineAddr. On a hit it refreshes LRU and returns the
 // current state; on a miss it returns (Invalid, false).
 func (c *Cache) Lookup(lineAddr config.Addr) (State, bool) {
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == lineAddr {
-			c.tick++
-			set[i].lru = c.tick
-			c.stats.Hits++
-			return set[i].state, true
-		}
+	if i := c.find(lineAddr); i >= 0 {
+		c.tick++
+		c.lru[i] = c.tick
+		c.stats.Hits++
+		return keyState(c.keys[i]), true
 	}
 	c.stats.Misses++
 	return Invalid, false
@@ -121,57 +135,52 @@ func (c *Cache) Lookup(lineAddr config.Addr) (State, bool) {
 
 // Peek probes without touching LRU or statistics (directory queries).
 func (c *Cache) Peek(lineAddr config.Addr) (State, bool) {
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == lineAddr {
-			return set[i].state, true
-		}
+	if i := c.find(lineAddr); i >= 0 {
+		return keyState(c.keys[i]), true
 	}
 	return Invalid, false
 }
 
 // Fill installs lineAddr in state st, returning the eviction it displaced
 // (ok=false when an invalid way was available). Filling a line that is
-// already present just updates its state.
+// already present just updates its state. One pass over the set finds the
+// line if present, else the first invalid way, else the LRU way.
 func (c *Cache) Fill(lineAddr config.Addr, st State) (ev Eviction, evicted bool) {
 	if st == Invalid {
 		panic("cache: Fill with Invalid state")
 	}
-	set := c.set(lineAddr)
+	base := int(lineAddr&c.setMask) * c.ways
+	keys, lru := c.keys[base:base+c.ways], c.lru[base:base+c.ways]
+	want := uint64(lineAddr) << stateBits
 	c.tick++
-	// Already present: state upgrade/downgrade in place.
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == lineAddr {
-			set[i].state = st
-			set[i].lru = c.tick
-			return Eviction{}, false
-		}
-	}
-	// Prefer an invalid way.
-	victim := 0
-	found := false
-	for i := range set {
-		if set[i].state == Invalid {
-			victim, found = i, true
-			break
-		}
-	}
-	if !found {
-		// LRU victim.
-		oldest := set[0].lru
-		for i := 1; i < c.ways; i++ {
-			if set[i].lru < oldest {
-				oldest, victim = set[i].lru, i
+	free, oldest := -1, -1
+	for i, k := range keys {
+		switch {
+		case k == 0:
+			if free < 0 {
+				free = i
 			}
+		case k^want < 1<<stateBits:
+			// Already present: state upgrade/downgrade in place.
+			keys[i] = want | uint64(st)
+			lru[i] = c.tick
+			return Eviction{}, false
+		case oldest < 0 || lru[i] < lru[oldest]:
+			oldest = i
 		}
-		ev = Eviction{Line: set[victim].tag, State: set[victim].state}
+	}
+	victim := free
+	if victim < 0 {
+		victim = oldest
+		ev = Eviction{Line: keyLine(keys[victim]), State: keyState(keys[victim])}
 		evicted = true
 		c.stats.Evictions++
 		if ev.State.Dirty() {
 			c.stats.Writebacks++
 		}
 	}
-	set[victim] = line{tag: lineAddr, state: st, lru: c.tick}
+	keys[victim] = want | uint64(st)
+	lru[victim] = c.tick
 	c.stats.Fills++
 	return ev, evicted
 }
@@ -179,43 +188,39 @@ func (c *Cache) Fill(lineAddr config.Addr, st State) (ev Eviction, evicted bool)
 // SetState changes the state of a resident line; it reports whether the
 // line was present.
 func (c *Cache) SetState(lineAddr config.Addr, st State) bool {
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == lineAddr {
-			if st == Invalid {
-				set[i] = line{}
-				return true
-			}
-			set[i].state = st
-			return true
-		}
+	i := c.find(lineAddr)
+	if i < 0 {
+		return false
 	}
-	return false
+	if st == Invalid {
+		c.keys[i] = 0
+	} else {
+		c.keys[i] = key(lineAddr, st)
+	}
+	return true
 }
 
 // Invalidate drops lineAddr, returning its state at invalidation so the
 // caller can issue a writeback for dirty data.
 func (c *Cache) Invalidate(lineAddr config.Addr) (State, bool) {
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == lineAddr {
-			st := set[i].state
-			set[i] = line{}
-			return st, true
-		}
+	i := c.find(lineAddr)
+	if i < 0 {
+		return Invalid, false
 	}
-	return Invalid, false
+	st := keyState(c.keys[i])
+	c.keys[i] = 0
+	return st, true
 }
 
 // InvalidateAll drops every line, invoking fn (when non-nil) for each valid
 // line first. Used for whole-page remap invalidations and test teardown.
 func (c *Cache) InvalidateAll(fn func(config.Addr, State)) {
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
+	for i, k := range c.keys {
+		if k != 0 {
 			if fn != nil {
-				fn(c.lines[i].tag, c.lines[i].state)
+				fn(keyLine(k), keyState(k))
 			}
-			c.lines[i] = line{}
+			c.keys[i] = 0
 		}
 	}
 }
@@ -226,14 +231,11 @@ func (c *Cache) InvalidatePage(page config.Addr, fn func(config.Addr, State)) {
 	base := page << config.PageLineShift
 	for l := config.Addr(0); l < config.LinesPerPage; l++ {
 		lineAddr := base + l
-		set := c.set(lineAddr)
-		for i := range set {
-			if set[i].state != Invalid && set[i].tag == lineAddr {
-				if fn != nil {
-					fn(set[i].tag, set[i].state)
-				}
-				set[i] = line{}
+		if i := c.find(lineAddr); i >= 0 {
+			if fn != nil {
+				fn(lineAddr, keyState(c.keys[i]))
 			}
+			c.keys[i] = 0
 		}
 	}
 }
@@ -242,9 +244,9 @@ func (c *Cache) InvalidatePage(page config.Addr, fn func(config.Addr, State)) {
 // statistics. The runtime invariant auditor walks cache contents through
 // this; it must stay observation-only so audited runs are bit-identical.
 func (c *Cache) ForEach(fn func(lineAddr config.Addr, st State)) {
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
-			fn(c.lines[i].tag, c.lines[i].state)
+	for _, k := range c.keys {
+		if k != 0 {
+			fn(keyLine(k), keyState(k))
 		}
 	}
 }
@@ -252,8 +254,8 @@ func (c *Cache) ForEach(fn func(lineAddr config.Addr, st State)) {
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
+	for _, k := range c.keys {
+		if k != 0 {
 			n++
 		}
 	}

@@ -38,16 +38,17 @@ func (s DirState) String() string {
 	}
 }
 
-// Entry is one directory entry's visible content.
+// Entry is one directory entry's visible content. The field order packs
+// it into 24 bytes (the 16-byte SharerSet first, then the small fields).
 type Entry struct {
-	State   DirState
 	Sharers SharerSet // caching hosts (valid in S)
 	Owner   int16     // owning host (valid in M)
+	State   DirState
 }
 
-type dirLine struct {
-	tag   config.Addr
-	valid bool
+// dirMeta is the part of a way a probe does not read: its LRU stamp and
+// entry, touched only once the tag matched or a victim is chosen.
+type dirMeta struct {
 	lru   uint64
 	entry Entry
 }
@@ -89,15 +90,37 @@ func (s *Stats) add(o Stats) {
 	s.ShootdownTargets += o.ShootdownTargets
 }
 
-// dirSlice is one address-hashed slice of the directory: its own lines,
+// dirSlice is one address-hashed slice of the directory: its own ways,
 // LRU clock, O(1) occupancy counter and event counters. Entries of a set
 // never cross a slice, so a per-slice LRU clock preserves exactly the
 // relative recency order a single global clock establishes within any set.
+//
+// Tags are kept apart from the rest of each way (DESIGN.md §16.3), so a
+// 16-way probe scans 128 bytes of tags instead of 896 bytes of ways.
 type dirSlice struct {
-	lines []dirLine // sets*ways
+	tags  []config.Addr // sets*ways; line+1, 0 = invalid
+	meta  []dirMeta     // sets*ways
 	tick  uint64
 	occ   int
 	stats Stats
+}
+
+// find returns the flat index of line's valid way in the set starting at
+// base, or -1.
+func (sl *dirSlice) find(base, ways int, line config.Addr) int {
+	for i, t := range sl.tags[base : base+ways] {
+		if t == line+1 {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// drop invalidates way i.
+func (sl *dirSlice) drop(i int) {
+	sl.tags[i] = 0
+	sl.meta[i] = dirMeta{}
+	sl.occ--
 }
 
 // DeviceDir is the sliced, set-associative device coherence directory.
@@ -106,35 +129,51 @@ type dirSlice struct {
 // of two — the slice hash is a mask, and harness.ScaleForHosts grows the
 // slice count with the host count so lookup ports keep pace.
 type DeviceDir struct {
-	sets, ways int
+	sets, ways int // ways as stored: at most the configured count
+	capacity   int // configured entries, Sets × Ways × Slices
 	sliceMask  config.Addr
 	sliceShift uint
 	slices     []dirSlice
 }
 
-// NewDeviceDir builds the directory from CXL configuration.
-func NewDeviceDir(cfg config.CXLConfig) *DeviceDir {
+// NewDeviceDir builds the directory from CXL configuration, for a memory
+// of the given number of lines in one contiguous range (the CXL pool);
+// only those lines may be installed.
+//
+// A set only ever holds lines of its own residue class modulo Slices ×
+// Sets, and a contiguous range puts at most ceil(lines/(Slices×Sets)) lines
+// in any class. Ways beyond that count can never be occupied, so they are
+// not stored: every lookup, install and back-invalidation is the same as
+// with the configured ways (DESIGN.md §16.3).
+func NewDeviceDir(cfg config.CXLConfig, lines int64) *DeviceDir {
 	if cfg.DirSets <= 0 || cfg.DirSets&(cfg.DirSets-1) != 0 {
 		panic(fmt.Sprintf("coherence: %d directory sets is not a power of two", cfg.DirSets))
 	}
 	if cfg.DirSlices <= 0 || cfg.DirSlices&(cfg.DirSlices-1) != 0 {
 		panic(fmt.Sprintf("coherence: %d directory slices is not a power of two", cfg.DirSlices))
 	}
+	ways := cfg.DirWays
+	classes := int64(cfg.DirSlices) * int64(cfg.DirSets)
+	if most := (lines + classes - 1) / classes; most < int64(ways) {
+		ways = int(max(most, 1))
+	}
 	d := &DeviceDir{
 		sets:       cfg.DirSets,
-		ways:       cfg.DirWays,
+		ways:       ways,
+		capacity:   cfg.DirSets * cfg.DirWays * cfg.DirSlices,
 		sliceMask:  config.Addr(cfg.DirSlices - 1),
 		sliceShift: uint(log2(cfg.DirSlices)),
 		slices:     make([]dirSlice, cfg.DirSlices),
 	}
 	for i := range d.slices {
-		d.slices[i].lines = make([]dirLine, cfg.DirSets*cfg.DirWays)
+		d.slices[i].tags = make([]config.Addr, cfg.DirSets*ways)
+		d.slices[i].meta = make([]dirMeta, cfg.DirSets*ways)
 	}
 	return d
 }
 
-// Capacity returns the number of entries the directory can hold.
-func (d *DeviceDir) Capacity() int { return d.sets * d.ways * len(d.slices) }
+// Capacity returns the configured number of entries, Sets × Ways × Slices.
+func (d *DeviceDir) Capacity() int { return d.capacity }
 
 // Slices returns the slice count.
 func (d *DeviceDir) Slices() int { return len(d.slices) }
@@ -142,11 +181,11 @@ func (d *DeviceDir) Slices() int { return len(d.slices) }
 // SliceFor returns the slice index line hashes to.
 func (d *DeviceDir) SliceFor(line config.Addr) int { return int(line & d.sliceMask) }
 
-func (d *DeviceDir) setFor(line config.Addr) (*dirSlice, []dirLine) {
+// setFor returns line's slice and the flat index of its set's first way.
+func (d *DeviceDir) setFor(line config.Addr) (*dirSlice, int) {
 	sl := &d.slices[line&d.sliceMask]
 	set := int(line>>d.sliceShift) & (d.sets - 1)
-	idx := set * d.ways
-	return sl, sl.lines[idx : idx+d.ways]
+	return sl, set * d.ways
 }
 
 // log2 returns the exponent of a power of two.
@@ -160,20 +199,19 @@ func log2(n int) int {
 }
 
 // Lookup returns the entry for line, if present. It does not refresh LRU;
-// use Touch after deciding the request will use the entry.
+// the Update that acts on the entry does.
 func (d *DeviceDir) Lookup(line config.Addr) (Entry, bool) {
-	sl, set := d.setFor(line)
+	sl, base := d.setFor(line)
 	sl.stats.Lookups++
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			switch set[i].entry.State {
-			case DirShared:
-				sl.stats.HitS++
-			case DirModified:
-				sl.stats.HitM++
-			}
-			return set[i].entry, true
+	if i := sl.find(base, d.ways, line); i >= 0 {
+		e := sl.meta[i].entry
+		switch e.State {
+		case DirShared:
+			sl.stats.HitS++
+		case DirModified:
+			sl.stats.HitM++
 		}
+		return e, true
 	}
 	sl.stats.MissI++
 	return Entry{}, false
@@ -183,11 +221,9 @@ func (d *DeviceDir) Lookup(line config.Addr) (Entry, bool) {
 // statistics. Directory audits use this instead of Lookup so an audited run
 // keeps the exact same stats stream as an unaudited one.
 func (d *DeviceDir) Peek(line config.Addr) (Entry, bool) {
-	_, set := d.setFor(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			return set[i].entry, true
-		}
+	sl, base := d.setFor(line)
+	if i := sl.find(base, d.ways, line); i >= 0 {
+		return sl.meta[i].entry, true
 	}
 	return Entry{}, false
 }
@@ -196,10 +232,10 @@ func (d *DeviceDir) Peek(line config.Addr) (Entry, bool) {
 // statistics (observation-only, for the invariant auditor).
 func (d *DeviceDir) ForEach(fn func(line config.Addr, e Entry)) {
 	for s := range d.slices {
-		lines := d.slices[s].lines
-		for i := range lines {
-			if lines[i].valid {
-				fn(lines[i].tag, lines[i].entry)
+		sl := &d.slices[s]
+		for i, t := range sl.tags {
+			if t != 0 {
+				fn(t-1, sl.meta[i].entry)
 			}
 		}
 	}
@@ -209,47 +245,43 @@ func (d *DeviceDir) ForEach(fn func(line config.Addr, e Entry)) {
 // back-invalidation if a victim in use had to be displaced. Passing an
 // entry with State == DirInvalid removes the line's entry instead.
 func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
-	sl, set := d.setFor(line)
+	sl, base := d.setFor(line)
 	sl.tick++
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			if e.State == DirInvalid {
-				set[i] = dirLine{}
-				sl.occ--
-				return BackInvalidation{}, false
-			}
-			set[i].entry = e
-			set[i].lru = sl.tick
-			return BackInvalidation{}, false
+	if i := sl.find(base, d.ways, line); i >= 0 {
+		if e.State == DirInvalid {
+			sl.drop(i)
+		} else {
+			sl.meta[i] = dirMeta{lru: sl.tick, entry: e}
 		}
+		return BackInvalidation{}, false
 	}
 	if e.State == DirInvalid {
 		return BackInvalidation{}, false
 	}
-	victim, found := 0, false
-	for i := range set {
-		if !set[i].valid {
-			victim, found = i, true
+	tags, meta := sl.tags[base:base+d.ways], sl.meta[base:base+d.ways]
+	victim := -1
+	for i, t := range tags {
+		if t == 0 {
+			victim = i
 			break
 		}
 	}
 	var bi BackInvalidation
-	evicted := false
-	if !found {
-		oldest := set[0].lru
+	evicted := victim < 0
+	if evicted {
+		victim = 0
 		for i := 1; i < d.ways; i++ {
-			if set[i].lru < oldest {
-				oldest, victim = set[i].lru, i
+			if meta[i].lru < meta[victim].lru {
+				victim = i
 			}
 		}
-		bi = BackInvalidation{Line: set[victim].tag, Entry: set[victim].entry}
-		evicted = true
+		bi = BackInvalidation{Line: tags[victim] - 1, Entry: meta[victim].entry}
 		sl.stats.BackInvals++
-	}
-	set[victim] = dirLine{tag: line, valid: true, lru: sl.tick, entry: e}
-	if !evicted {
+	} else {
 		sl.occ++
 	}
+	tags[victim] = line + 1
+	meta[victim] = dirMeta{lru: sl.tick, entry: e}
 	sl.stats.Installs++
 	return bi, evicted
 }
@@ -257,44 +289,39 @@ func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
 // Remove drops line's entry (eviction notifications from hosts), returning
 // the entry it held.
 func (d *DeviceDir) Remove(line config.Addr) (Entry, bool) {
-	sl, set := d.setFor(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			e := set[i].entry
-			set[i] = dirLine{}
-			sl.occ--
-			return e, true
-		}
+	sl, base := d.setFor(line)
+	i := sl.find(base, d.ways, line)
+	if i < 0 {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	e := sl.meta[i].entry
+	sl.drop(i)
+	return e, true
 }
 
 // RemoveSharer clears host h from line's sharer set, dropping the entry when
 // the set empties. It reports whether an entry remains.
 func (d *DeviceDir) RemoveSharer(line config.Addr, h int) bool {
-	sl, set := d.setFor(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			e := &set[i].entry
-			switch e.State {
-			case DirShared:
-				e.Sharers = e.Sharers.Without(h)
-				if e.Sharers.Empty() {
-					set[i] = dirLine{}
-					sl.occ--
-					return false
-				}
-			case DirModified:
-				if int(e.Owner) == h {
-					set[i] = dirLine{}
-					sl.occ--
-					return false
-				}
-			}
-			return true
+	sl, base := d.setFor(line)
+	i := sl.find(base, d.ways, line)
+	if i < 0 {
+		return false
+	}
+	e := &sl.meta[i].entry
+	switch e.State {
+	case DirShared:
+		e.Sharers = e.Sharers.Without(h)
+		if e.Sharers.Empty() {
+			sl.drop(i)
+			return false
+		}
+	case DirModified:
+		if int(e.Owner) == h {
+			sl.drop(i)
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // NoteShootdown records an invalidation round the machine priced against

@@ -7,8 +7,12 @@ import (
 	"pipm/internal/config"
 )
 
+// anyLines is a line domain large enough that NewDeviceDir stores every
+// configured way.
+const anyLines = 1 << 40
+
 func tiny() *DeviceDir {
-	return NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2, LinkBW: 1})
+	return NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2, LinkBW: 1}, anyLines)
 }
 
 func TestDirStateString(t *testing.T) {
@@ -153,7 +157,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 
 func TestDefaultGeometryMatchesTable2(t *testing.T) {
 	c := config.Default()
-	d := NewDeviceDir(c.CXL)
+	d := NewDeviceDir(c.CXL, anyLines)
 	if d.Capacity() != 2048*16*16 {
 		t.Fatalf("capacity = %d, want 524288", d.Capacity())
 	}
@@ -165,7 +169,7 @@ func TestNewRejectsBadSets(t *testing.T) {
 			t.Fatal("no panic for non-power-of-two sets")
 		}
 	}()
-	NewDeviceDir(config.CXLConfig{DirSets: 3, DirWays: 1, DirSlices: 1})
+	NewDeviceDir(config.CXLConfig{DirSets: 3, DirWays: 1, DirSlices: 1}, anyLines)
 }
 
 func TestNewRejectsBadSlices(t *testing.T) {
@@ -174,7 +178,7 @@ func TestNewRejectsBadSlices(t *testing.T) {
 			t.Fatal("no panic for non-power-of-two slices")
 		}
 	}()
-	NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 1, DirSlices: 3})
+	NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 1, DirSlices: 3}, anyLines)
 }
 
 // Property: Update/Remove/RemoveSharer keep a shadow ledger exactly in sync.

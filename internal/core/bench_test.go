@@ -25,11 +25,22 @@ func BenchmarkLocalLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkRemapCacheLookup probes the same 8192-page working set through
+// both representations: the set-associative arrays of a cache that can
+// evict, and the presence bitmap of one that cannot.
 func BenchmarkRemapCacheLookup(b *testing.B) {
-	c := NewRemapCache(8192, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(int64(i) & 8191)
+	for _, bc := range []struct {
+		name string
+		c    *RemapCache
+	}{
+		{"set-assoc", NewRemapCache(8192, 8, 1<<16)},
+		{"presence", NewRemapCache(8192, 8, 8192)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bc.c.Lookup(int64(i) & 8191)
+			}
+		})
 	}
 }
 

@@ -75,11 +75,11 @@ func NewManager(p Params) *Manager {
 		hosts:     p.Hosts,
 		static:    p.Static,
 		global:    NewGlobalTable(p.SharedPages, p.Hosts),
-		gcache:    NewRemapCache(p.GlobalCacheEntries, p.GlobalCacheWays),
+		gcache:    NewRemapCache(p.GlobalCacheEntries, p.GlobalCacheWays, p.SharedPages),
 	}
 	for h := 0; h < p.Hosts; h++ {
 		m.local = append(m.local, NewLocalTable(p.SharedPages))
-		m.lcache = append(m.lcache, NewRemapCache(p.LocalCacheEntries, p.LocalCacheWays))
+		m.lcache = append(m.lcache, NewRemapCache(p.LocalCacheEntries, p.LocalCacheWays, p.SharedPages))
 	}
 	if p.Static {
 		for page := int64(0); page < p.SharedPages; page++ {

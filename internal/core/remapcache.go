@@ -1,33 +1,69 @@
 package core
 
+import "math/bits"
+
 // RemapCache models the on-die caches in front of the remapping tables: the
 // 16 KB global remapping cache on the CXL device and the 1 MB local
 // remapping cache on each host's root complex (§4.4). It caches page
 // indices only — entry *contents* always come from the backing table, so the
 // cache cannot go stale; what it buys is skipping the in-memory table access
 // on a hit, which is exactly what the latency model charges for.
+//
+// A geometry that can never evict is stored as a presence bitmap over the
+// page domain instead of tag and LRU arrays (DESIGN.md §16.3). A set only
+// ever holds distinct pages of its own residue class, so when no class has
+// more members than the set has ways, a miss always finds an empty way and
+// the cache is exactly the set of pages looked up and not invalidated since.
 type RemapCache struct {
-	ways     int
-	sets     int
-	infinite bool
-	disabled bool
-	tags     []int64 // sets*ways; -1 = empty
-	lru      []uint64
-	tick     uint64
-	inf      map[int64]struct{} // used when infinite
+	capacity int // configured entries: -1 infinite, 0 disabled
+
+	// Presence path (infinite, or no set can overflow).
+	present []uint64 // bit p set ⇔ page p cached
+
+	// Set-associative path.
+	ways int
+	sets int
+	tags []int64 // sets*ways; -1 = empty
+	lru  []uint64
+	tick uint64
 
 	hits, misses uint64
 }
 
 // NewRemapCache builds a cache holding the given number of entries with the
-// given associativity. entries < 0 models an infinite cache (the sensitivity
-// study's ideal); entries == 0 disables the cache (every lookup misses).
-func NewRemapCache(entries, ways int) *RemapCache {
+// given associativity, in front of a table of pages entries; looked-up
+// pages must lie in [0, pages). entries < 0 models an infinite cache (the
+// sensitivity study's ideal); entries == 0 disables the cache (every lookup
+// misses).
+func NewRemapCache(entries, ways int, pages int64) *RemapCache {
+	c := newRemapCache(entries, ways)
+	switch {
+	case c.capacity == 0:
+	case c.capacity < 0 || (pages+int64(c.sets)-1)/int64(c.sets) <= int64(c.ways):
+		c.present = make([]uint64, (pages+63)/64)
+	default:
+		c.allocSets()
+	}
+	return c
+}
+
+func (c *RemapCache) allocSets() {
+	c.tags = make([]int64, c.sets*c.ways)
+	c.lru = make([]uint64, c.sets*c.ways)
+	for i := range c.tags {
+		c.tags[i] = -1
+	}
+}
+
+// newRemapCache normalises the geometry without allocating storage: sets
+// round down to a power of two for cheap indexing and ways clamp to the
+// entry count.
+func newRemapCache(entries, ways int) *RemapCache {
 	switch {
 	case entries < 0:
-		return &RemapCache{infinite: true, inf: make(map[int64]struct{})}
+		return &RemapCache{capacity: -1}
 	case entries == 0:
-		return &RemapCache{disabled: true}
+		return &RemapCache{}
 	}
 	if ways < 1 {
 		ways = 1
@@ -39,48 +75,32 @@ func NewRemapCache(entries, ways int) *RemapCache {
 	if sets < 1 {
 		sets = 1
 	}
-	// Round sets down to a power of two for cheap indexing.
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1
 	}
-	c := &RemapCache{
-		ways: ways,
-		sets: sets,
-		tags: make([]int64, sets*ways),
-		lru:  make([]uint64, sets*ways),
-	}
-	for i := range c.tags {
-		c.tags[i] = -1
-	}
-	return c
+	return &RemapCache{capacity: sets * ways, ways: ways, sets: sets}
 }
 
-// Entries returns the cache's capacity in entries (-1 when infinite).
-func (c *RemapCache) Entries() int {
-	switch {
-	case c.infinite:
-		return -1
-	case c.disabled:
-		return 0
-	}
-	return c.sets * c.ways
-}
+// Entries returns the cache's configured capacity in entries (-1 when
+// infinite), whichever representation stores it.
+func (c *RemapCache) Entries() int { return c.capacity }
 
 // Lookup probes for page, inserting it on a miss (remap caches are filled
 // by the very table walk the miss triggers). It reports whether the probe
 // hit, which the caller prices.
 func (c *RemapCache) Lookup(page int64) bool {
 	switch {
-	case c.disabled:
+	case c.capacity == 0:
 		c.misses++
 		return false
-	case c.infinite:
-		if _, ok := c.inf[page]; ok {
+	case c.present != nil:
+		w, bit := page>>6, uint64(1)<<uint(page&63)
+		if c.present[w]&bit != 0 {
 			c.hits++
 			return true
 		}
 		c.misses++
-		c.inf[page] = struct{}{}
+		c.present[w] |= bit
 		return false
 	}
 	set := int(page) & (c.sets - 1)
@@ -115,18 +135,12 @@ func (c *RemapCache) Lookup(page int64) bool {
 
 // ForEachCached invokes fn for every cached page index without touching LRU
 // order or hit/miss counters (observation-only, for the invariant auditor).
-// Iteration order is unspecified but deterministic for the set-associative
-// geometry; infinite caches iterate their map, so callers needing a stable
-// order must sort.
+// Iteration order is unspecified but deterministic.
 func (c *RemapCache) ForEachCached(fn func(page int64)) {
-	switch {
-	case c.disabled:
-		return
-	case c.infinite:
-		for page := range c.inf {
-			fn(page)
+	for w, word := range c.present {
+		for ; word != 0; word &= word - 1 {
+			fn(int64(w)<<6 | int64(bits.TrailingZeros64(word)))
 		}
-		return
 	}
 	for _, tag := range c.tags {
 		if tag != -1 {
@@ -138,10 +152,10 @@ func (c *RemapCache) ForEachCached(fn func(page int64)) {
 // Invalidate drops page from the cache (entry removed from the table).
 func (c *RemapCache) Invalidate(page int64) {
 	switch {
-	case c.disabled:
+	case c.capacity == 0:
 		return
-	case c.infinite:
-		delete(c.inf, page)
+	case c.present != nil:
+		c.present[page>>6] &^= uint64(1) << uint(page&63)
 		return
 	}
 	set := int(page) & (c.sets - 1)

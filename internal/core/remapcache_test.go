@@ -1,15 +1,23 @@
 package core
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // Direct tests for RemapCache eviction and aliasing, beyond the smoke
 // coverage in tables_test.go: set-index aliasing, exact LRU order within a
 // set, and the geometry normalization rules of NewRemapCache.
 
+// testPages is a page domain large enough that every finite geometry below
+// can evict, so NewRemapCache keeps the set-associative representation.
+const testPages = 1 << 20
+
 // Pages that differ by a multiple of the set count index the same set and
 // contend for its ways; pages in other sets must be unaffected.
 func TestRemapCacheAliasEviction(t *testing.T) {
-	c := NewRemapCache(8, 2) // 4 sets × 2 ways
+	c := NewRemapCache(8, 2, testPages) // 4 sets × 2 ways
 	sets := int64(4)
 	p0, p1, p2 := int64(1), 1+sets, 1+2*sets // three aliases of set 1
 	other := int64(2)                        // different set
@@ -34,7 +42,7 @@ func TestRemapCacheAliasEviction(t *testing.T) {
 }
 
 func TestRemapCacheLRUWithinSet(t *testing.T) {
-	c := NewRemapCache(4, 4) // one set, 4 ways
+	c := NewRemapCache(4, 4, testPages) // one set, 4 ways
 	for p := int64(0); p < 4; p++ {
 		c.Lookup(p)
 	}
@@ -52,7 +60,7 @@ func TestRemapCacheLRUWithinSet(t *testing.T) {
 }
 
 func TestRemapCacheInvalidateFreesWay(t *testing.T) {
-	c := NewRemapCache(2, 2) // one set, 2 ways
+	c := NewRemapCache(2, 2, testPages) // one set, 2 ways
 	c.Lookup(0)
 	c.Lookup(1)
 	c.Invalidate(0)
@@ -80,7 +88,7 @@ func TestRemapCacheGeometry(t *testing.T) {
 		{16, 16, 16}, // fully associative
 	}
 	for _, tc := range cases {
-		c := NewRemapCache(tc.entries, tc.ways)
+		c := NewRemapCache(tc.entries, tc.ways, testPages)
 		if got := c.Entries(); got != tc.wantEntries {
 			t.Errorf("NewRemapCache(%d,%d).Entries() = %d, want %d",
 				tc.entries, tc.ways, got, tc.wantEntries)
@@ -96,7 +104,7 @@ func TestRemapCacheGeometry(t *testing.T) {
 }
 
 func TestRemapCacheZeroWaysDefaultsToDirect(t *testing.T) {
-	c := NewRemapCache(4, 0)
+	c := NewRemapCache(4, 0, testPages)
 	if c.Entries() != 4 {
 		t.Fatalf("entries = %d, want 4 (1-way × 4 sets)", c.Entries())
 	}
@@ -108,4 +116,104 @@ func TestRemapCacheZeroWaysDefaultsToDirect(t *testing.T) {
 	if c.Lookup(1) {
 		t.Fatal("direct-mapped alias did not evict")
 	}
+}
+
+// NewRemapCache takes the presence path exactly when no set can overflow:
+// infinite, or ceil(pages/sets) ≤ ways after geometry normalisation.
+func TestRemapCachePresenceRule(t *testing.T) {
+	cases := []struct {
+		entries, ways int
+		pages         int64
+		presence      bool
+	}{
+		{-1, 8, 1000, true},
+		{0, 8, 1000, false},
+		{1 << 18, 8, 16384, true}, // default 1 MB local cache, 64 MiB heap
+		{8192, 8, 1024, true},     // 16 KB global cache, 4 MiB heap
+		{8192, 8, 16384, false},   // 16 KB global cache, 64 MiB heap
+		{256, 8, 256, true},       // 32 sets, 8 members per class
+		{256, 8, 257, false},      // one class has 9 members
+		{100, 7, 100, false},      // 14 sets → 8 sets × 7 ways; ceil(100/8)=13 > 7
+		{112, 7, 100, true},       // 16 sets × 7 ways; ceil(100/16)=7
+		{12, 2, 8, true},          // 6 sets → 4 sets × 2 ways; 2 per class
+		{12, 2, 9, false},
+	}
+	for _, tc := range cases {
+		c := NewRemapCache(tc.entries, tc.ways, tc.pages)
+		if got := c.present != nil; got != tc.presence {
+			t.Errorf("NewRemapCache(%d,%d,%d): presence path = %v, want %v",
+				tc.entries, tc.ways, tc.pages, got, tc.presence)
+		}
+		if c.present != nil && c.tags != nil {
+			t.Errorf("NewRemapCache(%d,%d,%d) allocated both representations",
+				tc.entries, tc.ways, tc.pages)
+		}
+	}
+}
+
+// On a geometry that cannot evict, the presence bitmap and the forced
+// set-associative representation must agree on every lookup's hit/miss,
+// the counters, and the cached set, under seeded lookup/invalidate streams.
+func TestRemapCachePresenceMatchesSetAssoc(t *testing.T) {
+	geoms := []struct {
+		entries, ways int
+		pages         int64
+	}{
+		{8192, 8, 1024},
+		{8192, 8, 8192},
+		{256, 8, 256},
+		{112, 7, 100},
+		{12, 2, 8},
+		{16, 16, 16},
+		{4, 1, 4},
+	}
+	for _, g := range geoms {
+		for seed := int64(1); seed <= 4; seed++ {
+			fast := NewRemapCache(g.entries, g.ways, g.pages)
+			if fast.present == nil {
+				t.Fatalf("geometry %+v did not take the presence path", g)
+			}
+			ref := newSetAssocRemapCache(g.entries, g.ways)
+			rng := rand.New(rand.NewSource(seed))
+			for op := 0; op < 20000; op++ {
+				page := rng.Int63n(g.pages)
+				if rng.Intn(8) == 0 {
+					fast.Invalidate(page)
+					ref.Invalidate(page)
+					continue
+				}
+				if a, b := fast.Lookup(page), ref.Lookup(page); a != b {
+					t.Fatalf("geometry %+v seed %d op %d: Lookup(%d) presence=%v set-assoc=%v",
+						g, seed, op, page, a, b)
+				}
+			}
+			if fast.Hits() != ref.Hits() || fast.Misses() != ref.Misses() {
+				t.Fatalf("geometry %+v seed %d: hits/misses %d/%d vs %d/%d", g, seed,
+					fast.Hits(), fast.Misses(), ref.Hits(), ref.Misses())
+			}
+			if fast.Entries() != ref.Entries() {
+				t.Fatalf("geometry %+v: Entries %d vs %d", g, fast.Entries(), ref.Entries())
+			}
+			if a, b := cachedPages(fast), cachedPages(ref); !slices.Equal(a, b) {
+				t.Fatalf("geometry %+v seed %d: cached sets differ (%d vs %d pages)",
+					g, seed, len(a), len(b))
+			}
+		}
+	}
+}
+
+// newSetAssocRemapCache builds the set-associative representation of a
+// finite cache whatever the page domain, so tests can compare it against
+// the presence path.
+func newSetAssocRemapCache(entries, ways int) *RemapCache {
+	c := newRemapCache(entries, ways)
+	c.allocSets()
+	return c
+}
+
+func cachedPages(c *RemapCache) []int64 {
+	var out []int64
+	c.ForEachCached(func(p int64) { out = append(out, p) })
+	slices.Sort(out)
+	return out
 }

@@ -215,7 +215,7 @@ func TestLocalTableLedgerProperty(t *testing.T) {
 }
 
 func TestRemapCacheBasics(t *testing.T) {
-	c := NewRemapCache(8, 2)
+	c := NewRemapCache(8, 2, testPages)
 	if c.Entries() != 8 {
 		t.Fatalf("Entries = %d", c.Entries())
 	}
@@ -238,7 +238,7 @@ func TestRemapCacheBasics(t *testing.T) {
 }
 
 func TestRemapCacheEvicts(t *testing.T) {
-	c := NewRemapCache(4, 2) // 2 sets × 2 ways
+	c := NewRemapCache(4, 2, testPages) // 2 sets × 2 ways
 	// Pages 0,2,4 map to set 0; third fills evicts LRU (page 0).
 	c.Lookup(0)
 	c.Lookup(2)
@@ -253,7 +253,7 @@ func TestRemapCacheEvicts(t *testing.T) {
 }
 
 func TestRemapCacheInfinite(t *testing.T) {
-	c := NewRemapCache(-1, 8)
+	c := NewRemapCache(-1, 8, testPages)
 	if c.Entries() != -1 {
 		t.Fatalf("Entries = %d, want -1", c.Entries())
 	}
@@ -272,7 +272,7 @@ func TestRemapCacheInfinite(t *testing.T) {
 }
 
 func TestRemapCacheDisabled(t *testing.T) {
-	c := NewRemapCache(0, 8)
+	c := NewRemapCache(0, 8, testPages)
 	if c.Entries() != 0 {
 		t.Fatalf("Entries = %d, want 0", c.Entries())
 	}
@@ -289,7 +289,7 @@ func TestRemapCacheDisabled(t *testing.T) {
 func TestRemapCacheOddSizes(t *testing.T) {
 	// Non-power-of-two entry counts round down to a power-of-two set count
 	// but must still function.
-	c := NewRemapCache(100, 8)
+	c := NewRemapCache(100, 8, testPages)
 	if c.Entries() <= 0 || c.Entries() > 100 {
 		t.Fatalf("Entries = %d", c.Entries())
 	}
@@ -297,7 +297,7 @@ func TestRemapCacheOddSizes(t *testing.T) {
 		c.Lookup(p)
 	}
 	// Capacity smaller than ways degrades to fewer ways.
-	c2 := NewRemapCache(2, 8)
+	c2 := NewRemapCache(2, 8, testPages)
 	if c2.Entries() != 2 {
 		t.Fatalf("tiny cache Entries = %d", c2.Entries())
 	}

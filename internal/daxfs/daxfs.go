@@ -302,7 +302,7 @@ func (r *reader) lookup(f int64) {
 // scan reads the inode then streams sequential extent lines.
 func (r *reader) scan(f int64) {
 	r.emit(r.l.inodeAddr(f), false, false)
-	n := 1 + r.geometric(float64(r.p.ScanLines-1))
+	n := 1 + trace.Geometric(r.rng, float64(r.p.ScanLines-1))
 	start := r.rng.Int63n(r.l.extentPages * config.LinesPerPage)
 	for i := int64(0); i < int64(n); i++ {
 		r.emit(r.l.extentAddr(f, start+i), false, false)
@@ -348,19 +348,6 @@ func (r *reader) emit(addr config.Addr, write, dep bool) {
 		gap = uint32(r.rng.Intn(r.p.GapMean*2 + 1))
 	}
 	r.buf = append(r.buf, trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep})
-}
-
-// geometric draws a geometric variate with the given mean (≥ 0).
-func (r *reader) geometric(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	p := 1 / (mean + 1)
-	n := 0
-	for r.rng.Float64() >= p && n < 1024 {
-		n++
-	}
-	return n
 }
 
 // Counts is the region-classified profile of a full multi-core trace.

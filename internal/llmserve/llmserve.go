@@ -265,9 +265,10 @@ type reader struct {
 	pos int
 
 	active    []*session
-	countdown int   // scheduler steps until the next arrival burst
-	nextHome  int64 // round-robin cursor over the home slot class
-	scanPage  int64 // idle-scan position within the own shard
+	zipfRank  []*rand.Zipf // by active-session count; built on first use
+	countdown int          // scheduler steps until the next arrival burst
+	nextHome  int64        // round-robin cursor over the home slot class
+	scanPage  int64        // idle-scan position within the own shard
 	scanLine  int
 }
 
@@ -293,11 +294,11 @@ func (r *reader) Next() (trace.Record, bool) {
 func (r *reader) step() {
 	if r.p.ArrivalMean > 0 && r.l.slots > 0 {
 		if r.countdown <= 0 {
-			n := 1 + r.geometric(r.p.BurstMean-1)
+			n := 1 + trace.Geometric(r.rng, r.p.BurstMean-1)
 			for i := 0; i < n && len(r.active) < r.p.MaxActive; i++ {
 				r.admit()
 			}
-			r.countdown = 1 + r.geometric(r.p.ArrivalMean-1)
+			r.countdown = 1 + trace.Geometric(r.rng, r.p.ArrivalMean-1)
 		}
 		r.countdown--
 	}
@@ -334,7 +335,7 @@ func (r *reader) admit() {
 		}
 		r.nextHome++
 	}
-	s := &session{slot: slot, left: 1 + r.geometric(float64(r.p.DecodeTokens-1))}
+	s := &session{slot: slot, left: 1 + trace.Geometric(r.rng, float64(r.p.DecodeTokens-1))}
 	if migrated {
 		s.kvLen = int64(r.p.PrefillTokens)
 		// Catch-up: re-read the migrated prefix before the first decode.
@@ -360,10 +361,21 @@ func (r *reader) pickSession() *session {
 	}
 	var rank int64
 	if s := r.p.SessionZipfS; s > 0 {
-		if s < minZipfS {
-			s = minZipfS
+		// NewZipf only derives constants from (s, n) and draws nothing, so
+		// one sampler per session count yields the same stream as building
+		// a fresh one every step.
+		for len(r.zipfRank) <= n {
+			r.zipfRank = append(r.zipfRank, nil)
 		}
-		rank = int64(rand.NewZipf(r.rng, s, 1, uint64(n-1)).Uint64())
+		z := r.zipfRank[n]
+		if z == nil {
+			if s < minZipfS {
+				s = minZipfS
+			}
+			z = rand.NewZipf(r.rng, s, 1, uint64(n-1))
+			r.zipfRank[n] = z
+		}
+		rank = int64(z.Uint64())
 	} else {
 		rank = r.rng.Int63n(int64(n))
 	}
@@ -447,19 +459,6 @@ func (r *reader) emit(addr config.Addr, write, dep bool) {
 		gap = uint32(r.rng.Intn(r.p.GapMean*2 + 1))
 	}
 	r.buf = append(r.buf, trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep})
-}
-
-// geometric draws a geometric variate with the given mean (≥ 0).
-func (r *reader) geometric(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	p := 1 / (mean + 1)
-	n := 0
-	for r.rng.Float64() >= p && n < 1024 {
-		n++
-	}
-	return n
 }
 
 // Counts is the region-classified profile of a full multi-core trace.

@@ -152,7 +152,7 @@ func New(cfg config.Config, scheme migration.Kind) (*Machine, error) {
 		eng:     sim.NewEngine(),
 		fabric:  cxl.New(cfg.Hosts, cfg.CXL),
 		cxlMem:  mem.New("cxl", cfg.CXLDRAM),
-		devDir:  coherence.NewDeviceDir(cfg.CXL),
+		devDir:  coherence.NewDeviceDir(cfg.CXL, cfg.SharedPages()*config.LinesPerPage),
 		col:     newCollector(cfg),
 		clock:   cfg.CoreClock(),
 		l1Lat:   cfg.L1D.Latency,

@@ -316,7 +316,7 @@ func (g *genReader) Next() (trace.Record, bool) {
 
 	// Open a geometric sequential run from here.
 	if own && g.p.RunLen > 1 {
-		g.runLeft = g.geometric(g.p.RunLen - 1)
+		g.runLeft = trace.Geometric(g.rng, g.p.RunLen-1)
 		g.runAddr = addr
 	}
 	return trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep}, true
@@ -349,21 +349,5 @@ func (g *genReader) pick(z *rand.Zipf, n int64) int64 {
 
 // gap draws a geometric gap with the configured mean.
 func (g *genReader) gap() uint32 {
-	if g.p.GapMean <= 0 {
-		return 0
-	}
-	return uint32(g.geometric(float64(g.p.GapMean)))
-}
-
-// geometric draws a geometric variate with the given mean (≥ 0).
-func (g *genReader) geometric(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	p := 1 / (mean + 1)
-	n := 0
-	for g.rng.Float64() >= p && n < 1024 {
-		n++
-	}
-	return n
+	return uint32(trace.Geometric(g.rng, float64(g.p.GapMean)))
 }
