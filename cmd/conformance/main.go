@@ -1,21 +1,23 @@
 // Command conformance drives the differential-conformance subsystem: the
-// sharded parallel model checker over generalized protocol instances the
-// sequential checker cannot express (up to 4 hosts and 2 coupled lines),
-// and the randomized adversarial trace fuzzer that cross-checks full
-// machine runs against the sequentially consistent golden memory model.
+// protocol model checker (§5.1.4; up to 4 hosts and 2 lines of one page
+// coupled through promote/revoke, explored by a sharded BFS whose counts
+// do not depend on the worker count), and the randomized adversarial trace
+// fuzzer that cross-checks full machine runs against the sequentially
+// consistent golden memory model.
 //
 // Usage:
 //
-//	conformance -hosts 4                     # parallel model check, 4 hosts, 2 lines
-//	conformance -hosts 4 -lines 1 -workers 8 # explicit instance and worker count
+//	conformance -hosts 4                     # model check, 4 hosts, 2 lines
+//	conformance -hosts 3 -lines 1 -workers 1 # the paper's one-line instance, sequentially
 //	conformance -fuzz 200 -seed 7 -shrink    # 200-trace-set fuzz campaign
+//
+// Exit status: 0 ok, 1 violation or fuzz failure, 2 bad flags.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"pipm/internal/check"
@@ -35,7 +37,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if *fuzzSets > 0 {
+	if *fuzzSets != 0 {
 		os.Exit(runFuzz(*fuzzSets, *seed, *records, *shrink))
 	}
 	os.Exit(runCheck(*hosts, *lines, *protocol, *workers))
@@ -59,10 +61,6 @@ func runCheck(hosts, lines int, protocol string, workers int) int {
 			check.MaxHosts, check.MaxLines)
 		return 2
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	failed := false
 	for _, ext := range variants {
 		name := "MSI"
@@ -70,7 +68,7 @@ func runCheck(hosts, lines int, protocol string, workers int) int {
 			name = "MSI+PIPM"
 		}
 		start := time.Now()
-		res, v := check.PRun(check.POptions{Hosts: hosts, Lines: lines, PIPM: ext, Workers: workers})
+		res, v := check.Run(check.Options{Hosts: hosts, Lines: lines, PIPM: ext, Workers: workers})
 		elapsed := time.Since(start)
 		if v != nil {
 			failed = true

@@ -23,7 +23,9 @@
 //     thirteen Pin-traced benchmarks.
 //   - An experiment harness (NewSuite) that regenerates every table and
 //     figure of the paper's evaluation, plus a Murφ-style model checker
-//     (VerifyCoherence) for the PIPM protocol itself.
+//     (VerifyCoherence: one cache line, 2–4 hosts; cmd/conformance runs
+//     the same checker on two lines of one page) for the PIPM protocol
+//     itself.
 //
 // Quick start:
 //

@@ -1,21 +1,28 @@
-package check
-
-// Parallel explicit-state exploration of a generalized protocol instance.
+// Package check is an explicit-state model checker for the PIPM coherence
+// protocol, reproducing the paper's Murφ verification (§5.1.4): exhaustive
+// enumeration of a small protocol instance proving the Single-Writer
+// Multiple-Reader invariant, per-location sequential consistency (every
+// read returns the latest write), and absence of stuck states.
 //
-// The sequential checker (Run) is deliberately small: one cache line, at
-// most three hosts, a plain BFS over a Go map. That reproduces the paper's
-// Murφ run but stops exactly where the interesting interleavings start —
-// partial migration is a *page* mechanism, so the first instance where two
-// lines of the same page interact through the shared page-ownership state
-// (promote/revoke affects both lines at once, incremental migration flips
-// per-line bits independently) needs two lines; and four hosts is the
-// smallest count where two disjoint host pairs can race for the same page.
+// The model is up to MaxLines cache lines of one shared page, shared by up
+// to MaxHosts hosts. One line reproduces the paper's Murφ run; two lines
+// are the first instance where lines of the same page interact through the
+// shared page-ownership state (promote/revoke affects both lines at once,
+// incremental migration flips per-line bits independently), and four hosts
+// is the smallest count where two disjoint host pairs can race for the
+// same page. Each protocol request is atomic (the paper's implementation
+// serializes request handling with a lock-based scheme, so atomic
+// transitions are faithful). Versions are abstracted to one bit per storage
+// location — "holds the latest value" — which bounds the state space while
+// preserving exactly the property SC per location needs.
 //
-// PRun explores that space with a sharded worker pool: states are packed
+// Run explores the space with a sharded worker pool: states are packed
 // into 64-bit keys, each worker owns a shard of the visited set (no locks —
 // successors are routed to their owning shard between BFS levels), and the
-// frontier is expanded level-synchronously so violation reporting stays
-// deterministic regardless of goroutine scheduling.
+// frontier is expanded level-synchronously so counts and violation
+// reporting are deterministic regardless of worker count or goroutine
+// scheduling. Workers: 1 is the sequential checker.
+package check
 
 import (
 	"fmt"
@@ -23,88 +30,122 @@ import (
 	"sync"
 )
 
-// Generalized instance bounds. Host IDs and line indices are packed into
-// 3-bit fields; widening either is a representation change, so the bounds
-// are explicit constants rather than options.
+// Instance bounds. Host IDs and line indices are packed into 3-bit fields;
+// widening either is a representation change, so the bounds are explicit
+// constants rather than options.
 const (
 	MaxHosts = 4
 	MaxLines = 2
 )
 
-// PLine is one cache line's global protocol state in the generalized model.
-// Semantics match State field-for-field; only the host arity differs.
-type PLine struct {
-	Cache    [MaxHosts]CacheState
-	CacheUTD [MaxHosts]bool
-	CXLUTD   bool
-	LocalUTD bool
-	BitOwner int8
+// CacheState is a host's state for one modelled line (MSI + PIPM's ME).
+type CacheState uint8
+
+const (
+	I CacheState = iota
+	S
+	M
+	ME
+)
+
+func (c CacheState) String() string {
+	return [...]string{"I", "S", "M", "ME"}[c]
 }
 
-// PState is one global state of the generalized instance: up to MaxLines
-// lines of the *same* page, coupled through PageOwn (partial migration is a
+// none marks "no host" in owner fields.
+const none = -1
+
+// Line is one cache line's global protocol state.
+type Line struct {
+	Cache    [MaxHosts]CacheState // per-host cache state (unused slots stay I)
+	CacheUTD [MaxHosts]bool       // cache copy holds the latest version
+	CXLUTD   bool                 // CXL memory holds the latest version
+	LocalUTD bool                 // the bit-owner's local memory holds the latest
+	BitOwner int8                 // host whose local DRAM holds the line (I'), or none
+}
+
+// State is one global state of the instance: up to MaxLines lines of the
+// *same* page, coupled through PageOwn (partial migration is a
 // page-granularity decision; in-memory bits are per line).
-type PState struct {
-	Lines   [MaxLines]PLine
-	PageOwn int8
+type State struct {
+	Lines   [MaxLines]Line
+	PageOwn int8 // host the page is partially migrated to, or none
 }
 
-// PEvent is a protocol stimulus in the generalized model. Promote and
-// Revoke are page events; Line is meaningful only for Read/Write/Evict.
-type PEvent struct {
+// EventKind enumerates stimuli.
+type EventKind uint8
+
+const (
+	EvRead EventKind = iota
+	EvWrite
+	EvEvict
+	EvPromote
+	EvRevoke
+)
+
+func (k EventKind) String() string {
+	return [...]string{"Read", "Write", "Evict", "Promote", "Revoke"}[k]
+}
+
+// Event is a protocol stimulus. Promote and Revoke are page events; Line is
+// meaningful only for Read/Write/Evict.
+type Event struct {
 	Kind EventKind
 	Host int
 	Line int
 }
 
-func (e PEvent) String() string {
+func (e Event) String() string {
 	if e.Kind == EvPromote || e.Kind == EvRevoke {
 		return fmt.Sprintf("%v(h%d)", e.Kind, e.Host)
 	}
 	return fmt.Sprintf("%v(h%d,l%d)", e.Kind, e.Host, e.Line)
 }
 
-// PViolation describes an invariant failure found by PRun.
-type PViolation struct {
+// Violation describes an invariant failure with its witness path.
+type Violation struct {
 	Rule  string
-	State PState
-	Path  []PEvent
+	State State
+	Path  []Event
 }
 
-func (v *PViolation) Error() string {
+func (v *Violation) Error() string {
 	return fmt.Sprintf("check: %s violated after %v (state %+v)", v.Rule, v.Path, v.State)
 }
 
-// POptions selects the generalized instance.
-type POptions struct {
-	Hosts   int // 2..4
-	Lines   int // 1..2 (lines of one shared page)
-	PIPM    bool
-	Workers int // worker/shard count; 0 = GOMAXPROCS
+// Options selects the protocol variant and instance size.
+type Options struct {
+	Hosts   int  // 2..MaxHosts
+	Lines   int  // 1..MaxLines (lines of one shared page)
+	PIPM    bool // false = base MSI over CXL-DSM only (no migration events)
+	Workers int  // worker/shard count; 0 = GOMAXPROCS, 1 = sequential
 }
 
-// PResult summarizes a completed parallel run.
-type PResult struct {
+// Result summarizes a run.
+type Result struct {
 	States      int
 	Transitions int
 	Depth       int // BFS depth of the deepest reachable state
 	Workers     int
+	// DeadlockFree is true when exploration completed and every reachable
+	// state has at least one enabled event (reads are always enabled, so a
+	// correct model never deadlocks; the check matches the Murφ run).
+	DeadlockFree bool
 }
 
 // ------------------------------------------------------------- packing --
 
-// pkey is a PState packed into 64 bits: per line 17 bits (4 hosts × (2-bit
+// pkey is a State packed into 64 bits: per line 17 bits (4 hosts × (2-bit
 // cache state + 1 UTD bit) + CXLUTD + LocalUTD + 3-bit BitOwner), then a
 // 3-bit PageOwn — 37 bits for the full 2-line instance.
 type pkey uint64
 
 const (
 	bitsPerHost = 3   // cache state (2) + UTD (1)
-	bitsPerLine = 17  // 4 hosts × 3 + CXLUTD + LocalUTD + BitOwner(3)
 	ownNone     = 0x7 // BitOwner/PageOwn "none" in packed form
 )
 
-func encode(s *PState) pkey {
+func encode(s *State) pkey {
 	var k uint64
 	shift := uint(0)
 	for l := 0; l < MaxLines; l++ {
@@ -133,8 +174,8 @@ func encode(s *PState) pkey {
 	return pkey(k)
 }
 
-func decode(k pkey) PState {
-	var s PState
+func decode(k pkey) State {
+	var s State
 	shift := uint(0)
 	for l := 0; l < MaxLines; l++ {
 		ln := &s.Lines[l]
@@ -181,15 +222,15 @@ func (k pkey) hash() uint64 {
 
 // --------------------------------------------------------- transitions --
 
-// pmodel carries the instance options through the transition functions.
-type pmodel struct {
+// model carries the instance options through the transition functions.
+type model struct {
 	hosts int
 	lines int
 	pipm  bool
 }
 
-func pInitial() PState {
-	s := PState{PageOwn: none}
+func initialState() State {
+	s := State{PageOwn: none}
 	for l := range s.Lines {
 		s.Lines[l].CXLUTD = true
 		s.Lines[l].BitOwner = none
@@ -198,36 +239,35 @@ func pInitial() PState {
 }
 
 // enabled lists the stimuli applicable in s.
-func (m *pmodel) enabled(s *PState) []PEvent {
-	evs := make([]PEvent, 0, m.lines*m.hosts*3+m.hosts)
+func (m *model) enabled(s *State) []Event {
+	evs := make([]Event, 0, m.lines*m.hosts*3+m.hosts)
 	for l := 0; l < m.lines; l++ {
 		for h := 0; h < m.hosts; h++ {
-			evs = append(evs, PEvent{EvRead, h, l}, PEvent{EvWrite, h, l})
+			evs = append(evs, Event{EvRead, h, l}, Event{EvWrite, h, l})
 			if s.Lines[l].Cache[h] != I {
-				evs = append(evs, PEvent{EvEvict, h, l})
+				evs = append(evs, Event{EvEvict, h, l})
 			}
 		}
 	}
 	if m.pipm {
 		if s.PageOwn == none {
 			for h := 0; h < m.hosts; h++ {
-				evs = append(evs, PEvent{EvPromote, h, 0})
+				evs = append(evs, Event{EvPromote, h, 0})
 			}
 		} else {
-			evs = append(evs, PEvent{EvRevoke, int(s.PageOwn), 0})
+			evs = append(evs, Event{EvRevoke, int(s.PageOwn), 0})
 		}
 	}
 	return evs
 }
 
 // apply executes one event atomically, returning the successor and whether
-// a read observed a stale value. Semantics mirror model.go generalized to
-// N hosts and multiple lines coupled through PageOwn.
-func (m *pmodel) apply(s PState, ev PEvent) (PState, bool) {
+// a read observed a stale value.
+func (m *model) apply(s State, ev Event) (State, bool) {
 	h := ev.Host
 	switch ev.Kind {
 	case EvRead:
-		stale := m.read(&s, &s.Lines[ev.Line], h)
+		stale := m.read(&s.Lines[ev.Line], h)
 		return s, stale
 	case EvWrite:
 		stale := m.write(&s.Lines[ev.Line], h)
@@ -245,7 +285,7 @@ func (m *pmodel) apply(s PState, ev PEvent) (PState, bool) {
 	panic("check: unknown event")
 }
 
-func (m *pmodel) read(s *PState, ln *PLine, h int) bool {
+func (m *model) read(ln *Line, h int) bool {
 	switch ln.Cache[h] {
 	case S, M, ME:
 		return !ln.CacheUTD[h] // cache hit
@@ -258,9 +298,11 @@ func (m *pmodel) read(s *PState, ln *PLine, h int) bool {
 		ln.CacheUTD[h] = ln.LocalUTD
 		return stale
 	case ln.BitOwner != none:
+		// Inter-host read of a migrated line.
 		g := int(ln.BitOwner)
 		if ln.Cache[g] == ME {
-			// Case ⑥: owner downgrades ME→S, line migrates back.
+			// Case ⑥: owner downgrades ME→S, line migrates back, both
+			// hosts share; CXL updated by the writeback.
 			stale := !ln.CacheUTD[g]
 			ln.Cache[g] = S
 			ln.Cache[h] = S
@@ -269,7 +311,8 @@ func (m *pmodel) read(s *PState, ln *PLine, h int) bool {
 			ln.BitOwner = none
 			return stale
 		}
-		// Case ②: pure I' — fetch from owner's local memory.
+		// Case ②: pure I' — fetch from owner's local memory, write back to
+		// CXL, requester caches in M (exclusive fill per the paper).
 		stale := !ln.LocalUTD
 		ln.CXLUTD = ln.LocalUTD
 		ln.Cache[h] = M
@@ -280,6 +323,7 @@ func (m *pmodel) read(s *PState, ln *PLine, h int) bool {
 	// Plain CXL-DSM MSI read.
 	for g := 0; g < m.hosts; g++ {
 		if g != h && ln.Cache[g] == M {
+			// Owner forwards and downgrades; CXL updated.
 			stale := !ln.CacheUTD[g]
 			ln.Cache[g] = S
 			ln.CXLUTD = ln.CacheUTD[g]
@@ -294,12 +338,13 @@ func (m *pmodel) read(s *PState, ln *PLine, h int) bool {
 	return stale
 }
 
-func (m *pmodel) write(ln *PLine, h int) bool {
+func (m *model) write(ln *Line, h int) bool {
 	stale := false
 	switch ln.Cache[h] {
 	case M, ME:
 		// Write hit with ownership.
 	case S:
+		// Upgrade: invalidate all other sharers.
 		for g := 0; g < m.hosts; g++ {
 			if g != h && ln.Cache[g] == S {
 				ln.Cache[g] = I
@@ -310,9 +355,12 @@ func (m *pmodel) write(ln *PLine, h int) bool {
 	case I:
 		switch {
 		case int(ln.BitOwner) == h:
+			// Case ③ then write: fill from local memory into ME.
 			stale = !ln.LocalUTD
 			ln.Cache[h] = ME
 		case ln.BitOwner != none:
+			// Cases ②/⑤: pull the migrated line back, invalidating the
+			// owner's copy; requester takes M.
 			g := int(ln.BitOwner)
 			if ln.Cache[g] == ME {
 				stale = !ln.CacheUTD[g]
@@ -325,6 +373,7 @@ func (m *pmodel) write(ln *PLine, h int) bool {
 			ln.BitOwner = none
 			ln.Cache[h] = M
 		default:
+			// MSI write miss: invalidate every copy, take M.
 			for g := 0; g < m.hosts; g++ {
 				if g == h {
 					continue
@@ -338,6 +387,7 @@ func (m *pmodel) write(ln *PLine, h int) bool {
 			ln.Cache[h] = M
 		}
 	}
+	// The write makes h's copy the unique latest version.
 	for g := range ln.CacheUTD {
 		ln.CacheUTD[g] = false
 	}
@@ -347,14 +397,15 @@ func (m *pmodel) write(ln *PLine, h int) bool {
 	return stale
 }
 
-func (m *pmodel) evict(s *PState, ln *PLine, h int) {
+func (m *model) evict(s *State, ln *Line, h int) {
 	switch ln.Cache[h] {
 	case S:
 		ln.Cache[h] = I
 		ln.CacheUTD[h] = false
 	case M:
 		if m.pipm && int(s.PageOwn) == h {
-			// Case ①: incremental migration (M → I').
+			// Case ①: incremental migration — the writeback lands in local
+			// memory and the in-memory bits flip (M → I').
 			ln.LocalUTD = ln.CacheUTD[h]
 			ln.BitOwner = int8(h)
 		} else {
@@ -371,8 +422,9 @@ func (m *pmodel) evict(s *PState, ln *PLine, h int) {
 }
 
 // revoke returns every migrated block of the page to CXL memory (§4.2 ⑥):
-// page-granularity, so it acts on all lines at once.
-func (m *pmodel) revoke(s *PState, h int) {
+// page-granularity, so it acts on all lines at once, the local entry is
+// dropped and the page is unowned again.
+func (m *model) revoke(s *State, h int) {
 	for l := 0; l < m.lines; l++ {
 		ln := &s.Lines[l]
 		if int(ln.BitOwner) == h {
@@ -389,7 +441,7 @@ func (m *pmodel) revoke(s *PState, h int) {
 }
 
 // checkInvariants returns the violated rule's name, or "".
-func (m *pmodel) checkInvariants(s *PState) string {
+func (m *model) checkInvariants(s *State) string {
 	for l := 0; l < m.lines; l++ {
 		ln := &s.Lines[l]
 		writers, sharers := 0, 0
@@ -419,6 +471,7 @@ func (m *pmodel) checkInvariants(s *PState) string {
 		if ln.BitOwner != none && ln.BitOwner != s.PageOwn {
 			return "bit-consistency: in-memory bit outside the owning page"
 		}
+		// Liveness of the value: someone must hold the latest version.
 		anyUTD := ln.CXLUTD || (ln.BitOwner != none && ln.LocalUTD)
 		for h := 0; h < m.hosts; h++ {
 			if ln.Cache[h] != I && ln.CacheUTD[h] {
@@ -437,14 +490,14 @@ func (m *pmodel) checkInvariants(s *PState) string {
 // pedge records how a state was first reached, for witness reconstruction.
 type pedge struct {
 	parent pkey
-	via    PEvent
+	via    Event
 }
 
 // routed is one successor en route to its owning shard.
 type routed struct {
 	key    pkey
 	parent pkey
-	via    PEvent
+	via    Event
 }
 
 // foundViolation is a violation candidate located during one BFS level;
@@ -456,13 +509,14 @@ type foundViolation struct {
 	state pkey
 	// extraEv extends the witness path beyond the path to `state` (used
 	// for stale reads, where the violating event is the last step).
-	extraEv  PEvent
+	extraEv  Event
 	hasExtra bool
 }
 
-// PRun explores the generalized protocol instance with a sharded parallel
-// BFS and returns the first invariant violation found, if any.
-func PRun(opt POptions) (PResult, *PViolation) {
+// Run exhaustively explores the protocol instance and returns the first
+// invariant violation found, if any. It panics on an instance outside
+// the packed bounds.
+func Run(opt Options) (Result, *Violation) {
 	if opt.Hosts < 2 || opt.Hosts > MaxHosts {
 		panic(fmt.Sprintf("check: Hosts must be 2..%d", MaxHosts))
 	}
@@ -476,11 +530,14 @@ func PRun(opt POptions) (PResult, *PViolation) {
 	if workers > 64 {
 		workers = 64
 	}
+	return explore(&model{hosts: opt.Hosts, lines: opt.Lines, pipm: opt.PIPM}, workers)
+}
 
-	m := &pmodel{hosts: opt.Hosts, lines: opt.Lines, pipm: opt.PIPM}
-	res := PResult{Workers: workers}
+// explore is the sharded level-synchronous BFS behind Run.
+func explore(m *model, workers int) (Result, *Violation) {
+	res := Result{Workers: workers}
 
-	start := pInitial()
+	start := initialState()
 	startKey := encode(&start)
 	startShard := int(startKey.hash() % uint64(workers))
 
@@ -500,6 +557,14 @@ func PRun(opt POptions) (PResult, *PViolation) {
 	transitions := make([]int, workers)
 	violations := make([]*foundViolation, workers)
 
+	tally := func(depth int) {
+		for w := 0; w < workers; w++ {
+			res.Transitions += transitions[w]
+			res.States += len(seen[w])
+		}
+		res.Depth = depth
+	}
+
 	depth := 0
 	for {
 		// Expansion phase: each worker expands its own shard's frontier,
@@ -509,34 +574,37 @@ func PRun(opt POptions) (PResult, *PViolation) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				order := 0
-				for _, key := range frontier[w] {
+				found := func(v foundViolation) {
+					v.shard = w
+					violations[w] = &v
+				}
+				for order, key := range frontier[w] {
 					st := decode(key)
 					if rule := m.checkInvariants(&st); rule != "" {
-						if violations[w] == nil {
-							violations[w] = &foundViolation{shard: w, order: order, rule: rule, state: key}
-						}
+						found(foundViolation{order: order, rule: rule, state: key})
 						return
 					}
-					for _, ev := range m.enabled(&st) {
+					events := m.enabled(&st)
+					if len(events) == 0 {
+						found(foundViolation{order: order, rule: "deadlock: no enabled event", state: key})
+						return
+					}
+					for _, ev := range events {
 						next, stale := m.apply(st, ev)
 						transitions[w]++
 						if stale {
-							if violations[w] == nil {
-								violations[w] = &foundViolation{
-									shard: w, order: order,
-									rule:    "SC-per-location: read returned a stale value",
-									state:   key,
-									extraEv: ev, hasExtra: true,
-								}
-							}
+							found(foundViolation{
+								order:   order,
+								rule:    "SC-per-location: read returned a stale value",
+								state:   key,
+								extraEv: ev, hasExtra: true,
+							})
 							return
 						}
 						nk := encode(&next)
 						dst := int(nk.hash() % uint64(workers))
 						outbox[w][dst] = append(outbox[w][dst], routed{key: nk, parent: key, via: ev})
 					}
-					order++
 				}
 			}(w)
 		}
@@ -553,11 +621,7 @@ func PRun(opt POptions) (PResult, *PViolation) {
 			}
 		}
 		if best != nil {
-			for w := 0; w < workers; w++ {
-				res.Transitions += transitions[w]
-				res.States += len(seen[w])
-			}
-			res.Depth = depth
+			tally(depth)
 			return res, reconstruct(m, best, seen, workers)
 		}
 
@@ -593,18 +657,15 @@ func PRun(opt POptions) (PResult, *PViolation) {
 		depth++
 	}
 
-	for w := 0; w < workers; w++ {
-		res.Transitions += transitions[w]
-		res.States += len(seen[w])
-	}
-	res.Depth = depth
+	tally(depth)
+	res.DeadlockFree = true
 	return res, nil
 }
 
 // reconstruct rebuilds the witness path by chasing parent edges across the
 // sharded visited sets.
-func reconstruct(m *pmodel, v *foundViolation, seen []map[pkey]pedge, workers int) *PViolation {
-	var path []PEvent
+func reconstruct(m *model, v *foundViolation, seen []map[pkey]pedge, workers int) *Violation {
+	var path []Event
 	key := v.state
 	for {
 		shard := int(key.hash() % uint64(workers))
@@ -612,7 +673,7 @@ func reconstruct(m *pmodel, v *foundViolation, seen []map[pkey]pedge, workers in
 		if !ok || e.parent == key {
 			break
 		}
-		path = append([]PEvent{e.via}, path...)
+		path = append([]Event{e.via}, path...)
 		key = e.parent
 	}
 	st := decode(v.state)
@@ -621,5 +682,5 @@ func reconstruct(m *pmodel, v *foundViolation, seen []map[pkey]pedge, workers in
 		st, _ = m.apply(st, v.extraEv)
 		path = append(path, v.extraEv)
 	}
-	return &PViolation{Rule: v.rule, State: st, Path: path}
+	return &Violation{Rule: v.rule, State: st, Path: path}
 }

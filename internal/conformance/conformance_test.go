@@ -93,6 +93,14 @@ func TestRunSchemeRejectsWrongTraceCount(t *testing.T) {
 	}
 }
 
+func TestFuzzRejectsNegativeShape(t *testing.T) {
+	for _, opts := range []FuzzOptions{{Sets: -3}, {Sets: 1, Records: -5}} {
+		if runs, _, err := Fuzz(opts); err == nil || runs != 0 {
+			t.Errorf("%+v: runs=%d err=%v, want an error before any run", opts, runs, err)
+		}
+	}
+}
+
 func TestDiffImages(t *testing.T) {
 	a := map[config.Addr]uint64{1: 10, 2: 20}
 	b := map[config.Addr]uint64{1: 10, 2: 21, 3: 30}

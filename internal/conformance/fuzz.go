@@ -198,8 +198,11 @@ func fuzzShapes() []config.Config {
 // the selected schemes with the golden model and coherence audit attached.
 // Single-writer sets additionally assert final-image equivalence across
 // the schemes run. It returns the number of machine runs performed and
-// every (possibly shrunk) failure.
+// every (possibly shrunk) failure. A negative Sets or Records is an error.
 func Fuzz(opts FuzzOptions) (runs int, failures []Failure, err error) {
+	if opts.Sets < 0 || opts.Records < 0 {
+		return 0, nil, fmt.Errorf("negative fuzz shape (sets %d, records %d)", opts.Sets, opts.Records)
+	}
 	records := opts.Records
 	if records == 0 {
 		records = 1200

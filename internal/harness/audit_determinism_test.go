@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"os"
 	"testing"
 
@@ -119,24 +118,6 @@ func TestAuditedRunDeterminism(t *testing.T) {
 	}
 }
 
-// readGolden loads testdata/golden_quick.json keyed by "workload/scheme".
-func readGolden(t *testing.T) map[string]goldenEntry {
-	t.Helper()
-	buf, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update-golden): %v", err)
-	}
-	var gf goldenFile
-	if err := json.Unmarshal(buf, &gf); err != nil {
-		t.Fatalf("parsing %s: %v", goldenPath, err)
-	}
-	out := make(map[string]goldenEntry, len(gf.Entries))
-	for _, e := range gf.Entries {
-		out[e.Workload+"/"+e.Scheme] = e
-	}
-	return out
-}
-
 // TestGoldenQuickSweepAudited re-runs the golden quick sweep with the
 // quantum auditor attached and matches every digest against
 // testdata/golden_quick.json by (workload, scheme): the committed golden
@@ -151,7 +132,10 @@ func TestGoldenQuickSweepAudited(t *testing.T) {
 	if testing.Short() {
 		t.Skip("audited quick sweep is too slow for -short")
 	}
-	want := readGolden(t)
+	want := map[string]string{}
+	for _, e := range loadGolden(t, "quick").Entries {
+		want[e.label()] = e.Digest
+	}
 	o := QuickOptions()
 	workloads := o.Workloads[:1]
 	if os.Getenv("PIPM_FULL_AUDITED_GOLDEN") != "" {
@@ -173,9 +157,9 @@ func TestGoldenQuickSweepAudited(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s/%v not in golden file", wl.Name, k)
 			}
-			if got := DigestResult(res); got != g.Digest {
+			if got := DigestResult(res); got != g {
 				t.Errorf("%s/%v: audited digest %s… != golden %s…",
-					wl.Name, k, got[:12], g.Digest[:12])
+					wl.Name, k, got[:12], g[:12])
 			}
 		}
 	}

@@ -1,16 +1,13 @@
 package harness
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files with current rendering")
-
 // goldenTables are the rendering cases pinned by files under testdata/.
-// Regenerate with: go test ./internal/harness -run Golden -update
+// Regenerate with: go test ./internal/harness -run TestTableFormatGolden -update-golden=tables
 var goldenTables = []struct {
 	file  string
 	table Table
@@ -60,7 +57,7 @@ func TestTableFormatGolden(t *testing.T) {
 		t.Run(tc.file, func(t *testing.T) {
 			got := tc.table.Format()
 			path := filepath.Join("testdata", tc.file)
-			if *updateGolden {
+			if updating(t, "tables") {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -71,10 +68,10 @@ func TestTableFormatGolden(t *testing.T) {
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
+				t.Fatalf("missing golden file (run with -update-golden=tables to create): %v", err)
 			}
 			if got != string(want) {
-				t.Errorf("rendering changed; rerun with -update if intended.\n--- got ---\n%s--- want ---\n%s", got, want)
+				t.Errorf("rendering changed; rerun with -update-golden=tables if intended.\n--- got ---\n%s--- want ---\n%s", got, want)
 			}
 		})
 	}

@@ -361,23 +361,9 @@ type CheckResult = check.Result
 type CheckViolation = check.Violation
 
 // VerifyCoherence exhaustively model-checks the coherence protocol on a
-// small instance (the paper's §5.1.4 Murφ methodology): hosts ∈ {2,3};
+// one-line instance (the paper's §5.1.4 Murφ methodology): hosts ∈ [2,4];
 // pipmExtension selects base MSI (false) or MSI+PIPM (true). It returns the
 // exploration summary and the first invariant violation found, if any.
 func VerifyCoherence(hosts int, pipmExtension bool) (CheckResult, *CheckViolation) {
-	return check.Run(check.Options{Hosts: hosts, PIPM: pipmExtension})
-}
-
-// ParallelCheckResult summarizes a sharded parallel model-checking run.
-type ParallelCheckResult = check.PResult
-
-// ParallelCheckViolation is an invariant failure from the parallel checker.
-type ParallelCheckViolation = check.PViolation
-
-// VerifyCoherenceParallel model-checks the generalized protocol instance —
-// hosts ∈ [2,4], lines ∈ [1,2] of one page coupled through promote/revoke —
-// with the sharded worker-pool BFS of internal/check. workers ≤ 0 uses
-// GOMAXPROCS. Results are deterministic for any worker count.
-func VerifyCoherenceParallel(hosts, lines int, pipmExtension bool, workers int) (ParallelCheckResult, *ParallelCheckViolation) {
-	return check.PRun(check.POptions{Hosts: hosts, Lines: lines, PIPM: pipmExtension, Workers: workers})
+	return check.Run(check.Options{Hosts: hosts, Lines: 1, PIPM: pipmExtension, Workers: 1})
 }
