@@ -221,6 +221,13 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: ROB/MSHRs must be ≥ 1")
 	case c.SharedBytes < PageBytes:
 		return fmt.Errorf("config: SharedBytes = %d, want ≥ one page", c.SharedBytes)
+	case c.SharedBytes%PageBytes != 0:
+		// Generators address every line of every heap page.
+		return fmt.Errorf("config: SharedBytes = %d, want a whole number of %d-byte pages", c.SharedBytes, PageBytes)
+	case c.SharedPages() < int64(c.Hosts):
+		// The statistical generators give each host a partition of at
+		// least one page; a smaller heap leaves hosts without one.
+		return fmt.Errorf("config: shared heap of %d pages is smaller than Hosts = %d, want ≥ one page per host", c.SharedPages(), c.Hosts)
 	case c.SharedBytes > c.CXLDRAM.CapacityBytes:
 		return fmt.Errorf("config: shared heap (%d) exceeds CXL capacity (%d)", c.SharedBytes, c.CXLDRAM.CapacityBytes)
 	case c.Kernel.BatchPages < 1:

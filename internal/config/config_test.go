@@ -58,6 +58,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"zero width", func(c *Config) { c.Width = 0 }},
 		{"zero rob", func(c *Config) { c.ROB = 0 }},
 		{"tiny shared", func(c *Config) { c.SharedBytes = 100 }},
+		{"fewer shared pages than hosts", func(c *Config) { c.Hosts = 4; c.SharedBytes = 2 * PageBytes }},
+		{"partial last page", func(c *Config) { c.SharedBytes = 64*PageBytes + 1 }},
+		{"one page, 256 hosts", func(c *Config) { c.Hosts = MaxHosts; c.SharedBytes = PageBytes }},
 		{"shared exceeds pool", func(c *Config) { c.SharedBytes = c.CXLDRAM.CapacityBytes + 1 }},
 		{"bad l1 ways", func(c *Config) { c.L1D.Ways = 0 }},
 		{"non-pow2 sets", func(c *Config) { c.LLC.SizeBytes = 3 << 20 }},
@@ -86,6 +89,15 @@ func TestValidateHostRange(t *testing.T) {
 		c.Hosts = hosts
 		if err := c.Validate(); err != nil {
 			t.Errorf("Hosts=%d: Validate rejected a legal cluster: %v", hosts, err)
+		}
+	}
+	// The smallest legal heap is one page per host.
+	for _, hosts := range []int{1, 2, 4, 64, 256} {
+		c := Default()
+		c.Hosts = hosts
+		c.SharedBytes = int64(hosts) * PageBytes
+		if err := c.Validate(); err != nil {
+			t.Errorf("Hosts=%d with %d shared pages: Validate rejected a legal heap: %v", hosts, hosts, err)
 		}
 	}
 	for _, hosts := range []int{-1, 0, 257, 1024} {

@@ -197,12 +197,16 @@ func New(p Params, am config.AddressMap, hosts, host, core int, records, seed in
 		panic(fmt.Sprintf("daxfs: host %d out of range", host))
 	}
 	r := &reader{
-		p:       p,
-		l:       newLayout(p, am, hosts),
-		host:    host,
-		rng:     rand.New(rand.NewSource(mix(seed, host, core))),
-		remain:  records,
-		cursors: map[int64]int64{},
+		p:        p,
+		l:        newLayout(p, am, hosts),
+		host:     host,
+		rng:      trace.NewSource(mix(seed, host, core)),
+		remain:   records,
+		cursors:  map[int64]int64{},
+		opLookup: trace.NewBernoulli(p.LookupFrac),
+		opScan:   trace.NewBernoulli(p.LookupFrac + p.ScanFrac),
+		own:      trace.NewBernoulli(p.OwnFrac),
+		scanLen:  trace.NewGeometric(float64(p.ScanLines - 1)),
 	}
 	ownFiles := (r.l.files - int64(host) + int64(hosts) - 1) / int64(hosts)
 	if r.l.files < int64(hosts) {
@@ -213,11 +217,12 @@ func New(p Params, am config.AddressMap, hosts, host, core int, records, seed in
 		if s < minZipfS {
 			s = minZipfS
 		}
+		zr := rand.New(r.rng)
 		if r.l.files > 1 {
-			r.zipfAll = rand.NewZipf(r.rng, s, 1, uint64(r.l.files-1))
+			r.zipfAll = rand.NewZipf(zr, s, 1, uint64(r.l.files-1))
 		}
 		if ownFiles > 1 {
-			r.zipfOwn = rand.NewZipf(r.rng, s, 1, uint64(ownFiles-1))
+			r.zipfOwn = rand.NewZipf(zr, s, 1, uint64(ownFiles-1))
 		}
 	}
 	return r
@@ -239,11 +244,15 @@ type reader struct {
 	l    layout
 	host int
 
-	rng      *rand.Rand
+	rng      *trace.Source
 	zipfAll  *rand.Zipf
 	zipfOwn  *rand.Zipf
 	ownFiles int64
 	remain   int64
+
+	// Precomputed samplers over rng; opLookup and opScan test one draw.
+	opLookup, opScan, own trace.Bernoulli
+	scanLen               trace.Geometric
 
 	buf []trace.Record
 	pos int
@@ -270,10 +279,10 @@ func (r *reader) Next() (trace.Record, bool) {
 // op executes one filesystem operation against a zipf-picked file.
 func (r *reader) op() {
 	f := r.pickFile()
-	switch x := r.rng.Float64(); {
-	case x < r.p.LookupFrac:
+	switch u := r.rng.Unit(); {
+	case r.opLookup.Hit(u):
 		r.lookup(f)
-	case x < r.p.LookupFrac+r.p.ScanFrac:
+	case r.opScan.Hit(u):
 		r.scan(f)
 	default:
 		r.append(f)
@@ -284,7 +293,7 @@ func (r *reader) op() {
 // own subtree (file home = file mod hosts), the rest go global with the same
 // hot-file-is-hot-for-everyone scramble the statistical generators use.
 func (r *reader) pickFile() int64 {
-	if r.l.files >= int64(r.l.hosts) && r.rng.Float64() < r.p.OwnFrac {
+	if r.l.files >= int64(r.l.hosts) && r.own.Draw(r.rng) {
 		rank := r.pick(r.zipfOwn, r.ownFiles)
 		return int64(r.host) + scramble(rank, r.ownFiles)*int64(r.l.hosts)
 	}
@@ -302,7 +311,7 @@ func (r *reader) lookup(f int64) {
 // scan reads the inode then streams sequential extent lines.
 func (r *reader) scan(f int64) {
 	r.emit(r.l.inodeAddr(f), false, false)
-	n := 1 + trace.Geometric(r.rng, float64(r.p.ScanLines-1))
+	n := 1 + r.scanLen.Draw(r.rng)
 	start := r.rng.Int63n(r.l.extentPages * config.LinesPerPage)
 	for i := int64(0); i < int64(n); i++ {
 		r.emit(r.l.extentAddr(f, start+i), false, false)

@@ -20,11 +20,12 @@ import (
 // contract, not the mapping's.
 
 // fuzzHeap picks one of four page-aligned heap sizes, including the
-// degenerate single-page pool that forces the layout fallbacks.
-func fuzzHeap(sel uint8) int64 {
+// smallest pool config.Validate accepts (one page per host), which forces
+// the layout fallbacks.
+func fuzzHeap(sel uint8, hosts int) int64 {
 	switch sel % 4 {
 	case 0:
-		return config.PageBytes
+		return int64(hosts) * config.PageBytes
 	case 1:
 		return 16 * config.PageBytes
 	case 2:
@@ -41,7 +42,7 @@ func fuzzRun(t *testing.T, wl workload.Params, heapSel uint8, seed int64) {
 	o := QuickOptions()
 	cfg := o.Cfg
 	cfg.Hosts = 2
-	cfg.SharedBytes = fuzzHeap(heapSel)
+	cfg.SharedBytes = fuzzHeap(heapSel, cfg.Hosts)
 	const records = 1200
 	res, _, rep, err := RunOneOpts(cfg, wl, migration.PIPM, records, seed,
 		RunOpts{Audit: audit.Options{Mode: audit.Quantum}})
@@ -58,8 +59,8 @@ func fuzzRun(t *testing.T, wl workload.Params, heapSel uint8, seed int64) {
 
 // FuzzServeWorkloadParams fuzzes the llmserve generator: knob vectors that
 // pass Validate must produce in-range addresses and a clean audited run for
-// any heap size, including the single-page pool and slot counts below the
-// host count.
+// any heap size, including the smallest legal pool and slot counts below
+// the host count.
 func FuzzServeWorkloadParams(f *testing.F) {
 	d := llmserve.Default()
 	f.Add(uint16(75), uint16(90), uint16(120), uint16(2), uint16(80), uint16(6),
@@ -104,7 +105,7 @@ func FuzzServeWorkloadParams(f *testing.F) {
 // FuzzFSWorkloadParams fuzzes the daxfs generator the same way: validated
 // knob vectors — any op mix, extent geometry or hot-line fanout — must
 // survive an audited 2-host run on every heap size, including extents larger
-// than the data region and the one-page metadata-only fallback.
+// than the data region and the metadata-only fallback.
 func FuzzFSWorkloadParams(f *testing.F) {
 	d := daxfs.Default()
 	f.Add(uint16(12), uint16(8), uint16(115), uint16(90), uint16(4), uint16(55),

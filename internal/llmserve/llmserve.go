@@ -222,19 +222,25 @@ func New(p Params, am config.AddressMap, hosts, host, core int, records, seed in
 		panic(fmt.Sprintf("llmserve: host %d out of range", host))
 	}
 	r := &reader{
-		p:      p,
-		l:      newLayout(p, am, hosts),
-		host:   host,
-		rng:    rand.New(rand.NewSource(mix(seed, host, core))),
-		remain: records,
+		p:       p,
+		l:       newLayout(p, am, hosts),
+		host:    host,
+		rng:     trace.NewSource(mix(seed, host, core)),
+		remain:  records,
+		burst:   trace.NewGeometric(p.BurstMean - 1),
+		arrival: trace.NewGeometric(p.ArrivalMean - 1),
+		tokens:  trace.NewGeometric(float64(p.DecodeTokens - 1)),
+		migrate: trace.NewBernoulli(p.MigrateFrac),
+		shard:   trace.NewBernoulli(p.ShardFrac),
 	}
+	r.zr = rand.New(r.rng)
 	if s := p.WeightZipfS; s > 0 && r.l.weightPages > 1 {
 		if s < minZipfS {
 			s = minZipfS
 		}
-		r.zipfGlobal = rand.NewZipf(r.rng, s, 1, uint64(r.l.weightPages-1))
+		r.zipfGlobal = rand.NewZipf(r.zr, s, 1, uint64(r.l.weightPages-1))
 		if r.l.shardPages > 1 {
-			r.zipfShard = rand.NewZipf(r.rng, s, 1, uint64(r.l.shardPages-1))
+			r.zipfShard = rand.NewZipf(r.zr, s, 1, uint64(r.l.shardPages-1))
 		}
 	}
 	return r
@@ -256,10 +262,15 @@ type reader struct {
 	l    layout
 	host int
 
-	rng        *rand.Rand
+	rng        *trace.Source
+	zr         *rand.Rand // rng as the zipf samplers draw from it
 	zipfGlobal *rand.Zipf
 	zipfShard  *rand.Zipf
 	remain     int64
+
+	// Precomputed samplers over rng.
+	burst, arrival, tokens trace.Geometric
+	migrate, shard         trace.Bernoulli
 
 	buf []trace.Record
 	pos int
@@ -294,11 +305,11 @@ func (r *reader) Next() (trace.Record, bool) {
 func (r *reader) step() {
 	if r.p.ArrivalMean > 0 && r.l.slots > 0 {
 		if r.countdown <= 0 {
-			n := 1 + trace.Geometric(r.rng, r.p.BurstMean-1)
+			n := 1 + r.burst.Draw(r.rng)
 			for i := 0; i < n && len(r.active) < r.p.MaxActive; i++ {
 				r.admit()
 			}
-			r.countdown = 1 + trace.Geometric(r.rng, r.p.ArrivalMean-1)
+			r.countdown = 1 + r.arrival.Draw(r.rng)
 		}
 		r.countdown--
 	}
@@ -316,7 +327,7 @@ func (r *reader) step() {
 // catch-up reads touch lines this host never wrote.
 func (r *reader) admit() {
 	migrated := r.l.hosts > 1 && r.l.slots > int64(r.l.hosts) &&
-		r.rng.Float64() < r.p.MigrateFrac
+		r.migrate.Draw(r.rng)
 	var slot int64
 	if migrated {
 		// Any slot whose home class is not ours.
@@ -335,7 +346,7 @@ func (r *reader) admit() {
 		}
 		r.nextHome++
 	}
-	s := &session{slot: slot, left: 1 + trace.Geometric(r.rng, float64(r.p.DecodeTokens-1))}
+	s := &session{slot: slot, left: 1 + r.tokens.Draw(r.rng)}
 	if migrated {
 		s.kvLen = int64(r.p.PrefillTokens)
 		// Catch-up: re-read the migrated prefix before the first decode.
@@ -372,7 +383,7 @@ func (r *reader) pickSession() *session {
 			if s < minZipfS {
 				s = minZipfS
 			}
-			z = rand.NewZipf(r.rng, s, 1, uint64(n-1))
+			z = rand.NewZipf(r.zr, s, 1, uint64(n-1))
 			r.zipfRank[n] = z
 		}
 		rank = int64(z.Uint64())
@@ -408,7 +419,7 @@ func (r *reader) decode(s *session) {
 // hit globally popular pages.
 func (r *reader) weightToken() {
 	var page int64
-	if r.rng.Float64() < r.p.ShardFrac {
+	if r.shard.Draw(r.rng) {
 		page = r.l.shardStart(r.host) + r.pick(r.zipfShard, r.l.shardPages)
 		page %= r.l.weightPages
 	} else {

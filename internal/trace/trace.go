@@ -5,11 +5,7 @@
 // minus instruction bytes the timing model does not need.
 package trace
 
-import (
-	"math/rand"
-
-	"pipm/internal/config"
-)
+import "pipm/internal/config"
 
 // Record is one memory operation preceded by Gap non-memory instructions.
 type Record struct {
@@ -119,19 +115,4 @@ func Collect(r Reader, m *config.AddressMap) Stats {
 	s.UniquePages = len(pages)
 	s.UniqueLines = len(lines)
 	return s
-}
-
-// Geometric draws a geometric variate with the given mean (≥ 0) from rng,
-// capped at 1024 trials. The synthetic generators (workload, llmserve,
-// daxfs) draw their run lengths, gaps and burst sizes through it.
-func Geometric(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	p := 1 / (mean + 1)
-	n := 0
-	for rng.Float64() >= p && n < 1024 {
-		n++
-	}
-	return n
 }

@@ -197,7 +197,7 @@ func (p Params) NewReader(am config.AddressMap, hosts, host, core int, records i
 		hosts:  hosts,
 		host:   host,
 		core:   core,
-		rng:    rand.New(rand.NewSource(mix)),
+		rng:    trace.NewSource(mix),
 		remain: records,
 	}
 	g.init()
@@ -222,14 +222,21 @@ func fnv(a, b int64) int64 {
 }
 
 // genReader produces the stream. Region choice → page choice (zipf or
-// uniform) → line within page, with geometric sequential runs.
+// uniform) → line within page, with geometric sequential runs. Every
+// probability is a threshold precomputed from Params, so Next draws the
+// same values math/rand's Float64 comparisons would.
 type genReader struct {
 	p     Params
 	am    config.AddressMap
 	hosts int
 	host  int
 	core  int
-	rng   *rand.Rand
+	rng   *trace.Source
+
+	// Precomputed samplers over rng.
+	gap, run               trace.Geometric
+	write, dep, shared     trace.Bernoulli
+	ownRegion, spillRegion trace.Bernoulli // one draw against both
 
 	remain int64
 
@@ -257,9 +264,17 @@ func (g *genReader) init() {
 		if s < minZipfS {
 			s = minZipfS
 		}
-		g.zipfOwn = rand.NewZipf(g.rng, s, 1, uint64(g.partPages-1))
-		g.zipfAll = rand.NewZipf(g.rng, s, 1, uint64(g.allPages-1))
+		zr := rand.New(g.rng)
+		g.zipfOwn = rand.NewZipf(zr, s, 1, uint64(g.partPages-1))
+		g.zipfAll = rand.NewZipf(zr, s, 1, uint64(g.allPages-1))
 	}
+	g.gap = trace.NewGeometric(float64(g.p.GapMean))
+	g.run = trace.NewGeometric(g.p.RunLen - 1)
+	g.write = trace.NewBernoulli(g.p.WriteFrac)
+	g.dep = trace.NewBernoulli(g.p.DepFrac)
+	g.shared = trace.NewBernoulli(g.p.SharedFrac)
+	g.ownRegion = trace.NewBernoulli(g.p.OwnFrac)
+	g.spillRegion = trace.NewBernoulli(g.p.OwnFrac + g.p.SpillFrac)
 }
 
 // Next implements trace.Reader.
@@ -270,9 +285,9 @@ func (g *genReader) Next() (trace.Record, bool) {
 	g.remain--
 	g.emitted++
 
-	gap := g.gap()
-	write := g.rng.Float64() < g.p.WriteFrac
-	dep := g.rng.Float64() < g.p.DepFrac
+	gap := uint32(g.gap.Draw(g.rng))
+	write := g.write.Draw(g.rng)
+	dep := g.dep.Draw(g.rng)
 
 	// Continue a sequential run if one is open. Streaming runs are
 	// address-independent by construction.
@@ -282,7 +297,7 @@ func (g *genReader) Next() (trace.Record, bool) {
 		return trace.Record{Gap: gap, Addr: g.runAddr, Write: write}, true
 	}
 
-	if g.rng.Float64() >= g.p.SharedFrac {
+	if !g.shared.Draw(g.rng) {
 		// Private stack reference: tight sequential reuse window.
 		g.stackPos = (g.stackPos + config.LineBytes) % stackBytes
 		base := config.Addr(g.core+1) * (4 << 20) // spread cores in the window
@@ -300,12 +315,12 @@ func (g *genReader) Next() (trace.Record, bool) {
 	}
 	var page int64
 	own := false
-	r := g.rng.Float64()
+	u := g.rng.Unit()
 	switch {
-	case r < g.p.OwnFrac:
+	case g.ownRegion.Hit(u):
 		own = true
 		page = int64(effHost)*g.partPages + scramble(g.pick(g.zipfOwn, g.partPages), g.partPages)
-	case r < g.p.OwnFrac+g.p.SpillFrac:
+	case g.spillRegion.Hit(u):
 		neighbour := (effHost + 1) % g.hosts
 		page = int64(neighbour)*g.partPages + scramble(g.pick(g.zipfOwn, g.partPages), g.partPages)
 	default:
@@ -316,7 +331,7 @@ func (g *genReader) Next() (trace.Record, bool) {
 
 	// Open a geometric sequential run from here.
 	if own && g.p.RunLen > 1 {
-		g.runLeft = trace.Geometric(g.rng, g.p.RunLen-1)
+		g.runLeft = g.run.Draw(g.rng)
 		g.runAddr = addr
 	}
 	return trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep}, true
@@ -345,9 +360,4 @@ func (g *genReader) pick(z *rand.Zipf, n int64) int64 {
 		return int64(z.Uint64())
 	}
 	return g.rng.Int63n(n)
-}
-
-// gap draws a geometric gap with the configured mean.
-func (g *genReader) gap() uint32 {
-	return uint32(trace.Geometric(g.rng, float64(g.p.GapMean)))
 }

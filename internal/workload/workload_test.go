@@ -459,3 +459,70 @@ func TestMechanisticDispatchAndDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryPresetDrainsAtSmallestHeap drains every registered preset on the
+// smallest heap config.Validate accepts, one page per host: every host's
+// partition is then a single page, and every address must stay mapped.
+func TestEveryPresetDrainsAtSmallestHeap(t *testing.T) {
+	for _, hosts := range []int{1, 2, 3, 4, 16, 64} {
+		c := config.Default()
+		c.Hosts = hosts
+		c.SharedBytes = int64(hosts) * config.PageBytes
+		if err := c.Validate(); err != nil {
+			t.Fatalf("hosts=%d: smallest heap rejected: %v", hosts, err)
+		}
+		am := config.NewAddressMap(&c)
+		for _, p := range All() {
+			for host := 0; host < hosts; host++ {
+				r := p.NewReader(am, hosts, host, 0, 400, 5)
+				for {
+					rec, ok := r.Next()
+					if !ok {
+						break
+					}
+					if kind, owner := am.Region(rec.Addr); kind == config.RegionInvalid ||
+						kind == config.RegionPrivate && owner != host {
+						t.Fatalf("%s hosts=%d host=%d: address %#x is %v/%d",
+							p.Name, hosts, host, uint64(rec.Addr), kind, owner)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNewReader measures one generator construction per op (seeding,
+// layout, zipf and threshold set-up) for every preset at 4 hosts.
+func BenchmarkNewReader(b *testing.B) {
+	am, _ := testAM()
+	for _, p := range All() {
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkReader = p.NewReader(am, 4, i%4, 0, 1, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkNext measures one record per op from a host-3 generator at 4
+// hosts on the quick sweep's 4 MiB heap. The hot path must not allocate.
+func BenchmarkNext(b *testing.B) {
+	am, _ := testAM()
+	for _, p := range All() {
+		b.Run(p.Name, func(b *testing.B) {
+			r := p.NewReader(am, 4, 3, 0, int64(b.N), 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkRecord, _ = r.Next()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
+		})
+	}
+}
+
+var (
+	sinkReader trace.Reader
+	sinkRecord trace.Record
+)
