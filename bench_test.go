@@ -13,6 +13,7 @@ import (
 
 	"pipm"
 	"pipm/internal/config"
+	"pipm/internal/harness"
 )
 
 // benchOptions is the reduced sweep every benchmark shares.
@@ -278,7 +279,8 @@ func BenchmarkTelemetryEnabled(b *testing.B) {
 	wl, _ := pipm.WorkloadByName("pr")
 	topt := pipm.TelemetryOptions{SampleInterval: 10 * pipm.Microsecond, Trace: true}
 	for i := 0; i < b.N; i++ {
-		res, tout, err := pipm.RunWithTelemetry(o.Cfg, wl, pipm.Nomad, o.RecordsPerCore, o.Seed, topt)
+		res, tout, _, err := harness.Run(pipm.RunRequest{Cfg: o.Cfg, WL: wl, Scheme: pipm.Nomad,
+			Records: o.RecordsPerCore, Seed: o.Seed, Telemetry: topt})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,10 +30,10 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"text/tabwriter"
 	"time"
 
 	"pipm"
+	"pipm/internal/harness"
 )
 
 var order = []string{
@@ -41,10 +41,6 @@ var order = []string{
 	"fig13", "fig14", "fig15", "fig16", "fig17", "scalability",
 	"clusterscale", "serve", "threshold", "adaptivity", "protocheck",
 }
-
-// clusterHosts is the parsed -hosts sweep for the clusterscale artefact;
-// empty means the default 4/16/64/256 ladder.
-var clusterHosts []int
 
 // stderr serialises every diagnostic writer — the engine's progress lines
 // (written from worker goroutines while holding the engine lock), the
@@ -63,59 +59,103 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-func main() {
+// invocation is one parsed experiments command line.
+type invocation struct {
+	list func(io.Writer) // -list-schemes or -list-workloads: print and exit
+
+	ids          []string        // requested artefacts, in presentation order
+	opt          harness.Options // resolved sweep options, Store unset
+	clusterHosts []int           // parsed -hosts ladder; empty = the default
+
+	quick                                     bool
+	jsonPath, tsPath, trPath, storeDir, pprof string
+}
+
+// parseArgs maps experiments' flags onto a harness.SweepSpec and resolves
+// it, together with the artefact list and the clusterscale host ladder.
+func parseArgs(fs *flag.FlagSet, args []string) (*invocation, error) {
 	var (
-		exps      = flag.String("exp", "all", "comma-separated artefacts: "+strings.Join(order, ", ")+", or all")
-		records   = flag.Int64("records", 0, "override trace records per core (0 = configuration default)")
-		workloads = flag.String("workloads", "", "comma-separated workload subset (default: full catalog)")
-		quick     = flag.Bool("quick", false, "use the small quick configuration")
-		parallel  = flag.Int("parallel", 0, "max simulations in flight (0 = GOMAXPROCS)")
-		progress  = flag.Bool("progress", false, "emit per-run progress/ETA lines on stderr")
-		jsonPath  = flag.String("json", "", "write per-run timing records (BENCH_*.json) to this file")
-		tsPath    = flag.String("timeseries", "", "write per-run interval time-series to this file (JSON, or CSV if the path ends in .csv)")
-		trPath    = flag.String("trace", "", "write per-run protocol event traces to this file (Chrome trace-event JSON, loadable in ui.perfetto.dev)")
-		sampleInt = flag.Duration("sample-interval", 10*time.Microsecond, "time-series sampling interval in simulated time (with -timeseries)")
-		hosts     = flag.String("hosts", "", "comma-separated host counts for the clusterscale artefact (default 4,16,64,256)")
-		storeDir  = flag.String("store", os.Getenv("PIPM_STORE"), "persistent result store directory: completed runs are written back and later sweeps load them instead of re-simulating (default $PIPM_STORE)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		exps      = fs.String("exp", "all", "comma-separated artefacts: "+strings.Join(order, ", ")+", or all")
+		records   = fs.Int64("records", 0, "override trace records per core (0 = configuration default)")
+		workloads = fs.String("workloads", "", "comma-separated workload subset (default: full catalog)")
+		quick     = fs.Bool("quick", false, "use the small quick configuration")
+		parallel  = fs.Int("parallel", 0, "max simulations in flight (0 = GOMAXPROCS)")
+		progress  = fs.Bool("progress", false, "emit per-run progress/ETA lines on stderr")
+		jsonPath  = fs.String("json", "", "write per-run timing records (BENCH_*.json) to this file")
+		tsPath    = fs.String("timeseries", "", "write per-run interval time-series to this file (JSON, or CSV if the path ends in .csv)")
+		trPath    = fs.String("trace", "", "write per-run protocol event traces to this file (Chrome trace-event JSON, loadable in ui.perfetto.dev)")
+		sampleInt = fs.Duration("sample-interval", 10*time.Microsecond, "time-series sampling interval in simulated time (with -timeseries)")
+		hosts     = fs.String("hosts", "", "comma-separated host counts for the clusterscale artefact (default 4,16,64,256)")
+		storeDir  = fs.String("store", os.Getenv("PIPM_STORE"), "persistent result store directory: completed runs are written back and later sweeps load them instead of re-simulating (default $PIPM_STORE)")
+		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 
-		listSchemes   = flag.Bool("list-schemes", false, "list registered placement schemes and exit")
-		listWorkloads = flag.Bool("list-workloads", false, "list the Table 1 workload catalog and exit")
+		listSchemes   = fs.Bool("list-schemes", false, "list registered placement schemes and exit")
+		listWorkloads = fs.Bool("list-workloads", false, "list every registered workload (Table 1 catalog + production services) and exit")
 	)
-	flag.Parse()
-
-	if *listSchemes {
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "NAME\tFAMILY\tDESCRIPTION")
-		for _, s := range pipm.RegisteredSchemes() {
-			fmt.Fprintf(tw, "%s\t%v\t%s\n", s.Name, s.Family, s.Desc)
-		}
-		tw.Flush()
-		return
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if *listWorkloads {
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "NAME\tSUITE\tFOOTPRINT\tSHARED%\tWRITE%")
-		for _, wl := range pipm.AllWorkloads() {
-			if wl.Mechanistic() {
-				// Production-service generators derive their mix from the
-				// serving/filesystem loop, not from SharedFrac/WriteFrac.
-				fmt.Fprintf(tw, "%s\t%s\t%dMB\tmechanistic\t-\n",
-					wl.Name, wl.Suite, wl.Footprint>>20)
-				continue
+	inv := &invocation{quick: *quick, jsonPath: *jsonPath,
+		tsPath: *tsPath, trPath: *trPath, storeDir: *storeDir, pprof: *pprofAddr}
+	switch {
+	case *listSchemes:
+		inv.list = harness.ListSchemes
+		return inv, nil
+	case *listWorkloads:
+		inv.list = harness.ListWorkloads
+		return inv, nil
+	}
+
+	// Reject unknown artefact names before the first simulation runs: a typo
+	// in a comma list must fail immediately, not after minutes of sweeps.
+	var err error
+	if inv.ids, err = selectArtefacts(*exps); err != nil {
+		return nil, err
+	}
+
+	// Parse -hosts up front for the same reason: a malformed or out-of-range
+	// count must fail before any sweep starts.
+	if *hosts != "" {
+		for _, f := range strings.Split(*hosts, ",") {
+			var h int
+			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &h); err != nil || h < 1 || h > pipm.MaxHosts {
+				return nil, fmt.Errorf("-hosts: %q is not a host count in 1..%d", f, pipm.MaxHosts)
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%dMB\t%.0f%%\t%.0f%%\n",
-				wl.Name, wl.Suite, wl.Footprint>>20, 100*wl.SharedFrac, 100*wl.WriteFrac)
+			inv.clusterHosts = append(inv.clusterHosts, h)
 		}
-		tw.Flush()
-		return
 	}
 
+	// Telemetry stays disabled — and every run key unchanged — unless an
+	// output flag asks for it.
+	spec := harness.SweepSpec{Quick: *quick, Records: *records,
+		Workloads: harness.SplitList(*workloads), Trace: *trPath != ""}
+	if *tsPath != "" {
+		spec.SampleInterval = sampleInt.String()
+	}
+	if inv.opt, _, err = spec.Resolve(); err != nil {
+		return nil, err
+	}
+	inv.opt.Workers = *parallel
+	if *progress {
+		inv.opt.Progress = stderr
+	}
+	return inv, nil
+}
+
+func main() {
+	inv, err := parseArgs(flag.NewFlagSet(os.Args[0], flag.ExitOnError), os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	if inv.list != nil {
+		inv.list(os.Stdout)
+		return
+	}
 	// Bind the pprof listener before any sweep starts: a bad -pprof address
 	// must fail immediately, not vanish into a goroutine's log line after
 	// minutes of simulation.
-	if *pprofAddr != "" {
-		ln, err := net.Listen("tcp", *pprofAddr)
+	if inv.pprof != "" {
+		ln, err := net.Listen("tcp", inv.pprof)
 		if err != nil {
 			fatal(fmt.Errorf("pprof: %w", err))
 		}
@@ -125,35 +165,10 @@ func main() {
 		}()
 	}
 
-	// Reject unknown artefact names before the first simulation runs: a typo
-	// in a comma list must fail immediately, not after minutes of sweeps.
-	ids, err := selectArtefacts(*exps)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Check -records up front for the same reason: a negative budget is a
-	// typo, not a request for the default.
-	if *records < 0 {
-		fatal(fmt.Errorf("-records must be ≥ 0 (0 = configuration default), got %d", *records))
-	}
-
-	// Parse -hosts up front for the same reason: a malformed or out-of-range
-	// count must fail before any sweep starts.
-	if *hosts != "" {
-		for _, f := range strings.Split(*hosts, ",") {
-			var h int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &h); err != nil || h < 1 || h > pipm.MaxHosts {
-				fatal(fmt.Errorf("-hosts: %q is not a host count in 1..%d", f, pipm.MaxHosts))
-			}
-			clusterHosts = append(clusterHosts, h)
-		}
-	}
-
-	// Probe every output path up front for the same reason: an unwritable
-	// -json/-timeseries/-trace destination must fail in milliseconds, not
-	// after the sweep has finished and the data is about to be lost.
-	for _, path := range []string{*jsonPath, *tsPath, *trPath} {
+	// Probe every output path up front: an unwritable -json/-timeseries/
+	// -trace destination must fail in milliseconds, not after the sweep has
+	// finished and the data is about to be lost.
+	for _, path := range []string{inv.jsonPath, inv.tsPath, inv.trPath} {
 		if path == "" {
 			continue
 		}
@@ -162,40 +177,9 @@ func main() {
 		}
 	}
 
-	opt := pipm.DefaultSuiteOptions()
-	if *quick {
-		opt = pipm.QuickSuiteOptions()
-	}
-	if *records > 0 {
-		opt.RecordsPerCore = *records
-	}
-	if *workloads != "" {
-		opt.Workloads = opt.Workloads[:0]
-		for _, name := range strings.Split(*workloads, ",") {
-			wl, err := pipm.WorkloadByName(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			opt.Workloads = append(opt.Workloads, wl)
-		}
-	}
-	opt.Workers = *parallel
-	if *progress {
-		opt.Progress = stderr
-	}
-	// Telemetry stays disabled — and every run key unchanged — unless an
-	// output flag asks for it.
-	if *tsPath != "" {
-		if *sampleInt <= 0 {
-			fatal(fmt.Errorf("-sample-interval must be positive, got %v", *sampleInt))
-		}
-		opt.Telemetry.SampleInterval = pipm.Time(sampleInt.Nanoseconds()) * pipm.Nanosecond
-	}
-	if *trPath != "" {
-		opt.Telemetry.Trace = true
-	}
-	if *storeDir != "" {
-		st, err := pipm.OpenStore(*storeDir)
+	opt := inv.opt
+	if inv.storeDir != "" {
+		st, err := pipm.OpenStore(inv.storeDir)
 		if err != nil {
 			fatal(err)
 		}
@@ -207,15 +191,15 @@ func main() {
 	// singleflight keep shared runs deduplicated — but buffer each one and
 	// print in presentation order, so stdout is deterministic.
 	wallStart := time.Now()
-	arts := make([]*artefact, len(ids))
+	arts := make([]*artefact, len(inv.ids))
 	var wg sync.WaitGroup
-	for i, id := range ids {
+	for i, id := range inv.ids {
 		arts[i] = &artefact{id: id}
 		wg.Add(1)
 		go func(a *artefact) {
 			defer wg.Done()
 			start := time.Now()
-			a.err = run(&a.out, suite, opt, a.id)
+			a.err = run(&a.out, suite, inv, a.id)
 			a.wall = time.Since(start)
 		}(arts[i])
 	}
@@ -235,27 +219,27 @@ func main() {
 	// measurements: write the bench report (marked partial) and any requested
 	// telemetry before exiting nonzero, so a long sweep's data survives one
 	// broken figure builder.
-	if *jsonPath != "" {
-		if err := writeBench(*jsonPath, suite, opt, arts, time.Since(wallStart), *parallel, *quick, failed != nil); err != nil {
+	if inv.jsonPath != "" {
+		if err := writeBench(inv.jsonPath, suite, opt, arts, time.Since(wallStart), inv.quick, failed != nil); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(stderr, "[bench report written to %s]\n", *jsonPath)
+		fmt.Fprintf(stderr, "[bench report written to %s]\n", inv.jsonPath)
 	}
-	if *tsPath != "" {
+	if inv.tsPath != "" {
 		write := suite.WriteTimeSeries
-		if strings.HasSuffix(*tsPath, ".csv") {
+		if strings.HasSuffix(inv.tsPath, ".csv") {
 			write = suite.WriteTimeSeriesCSV
 		}
-		if err := writeTo(*tsPath, write); err != nil {
+		if err := pipm.WriteToAtomic(inv.tsPath, write); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(stderr, "[time-series written to %s]\n", *tsPath)
+		fmt.Fprintf(stderr, "[time-series written to %s]\n", inv.tsPath)
 	}
-	if *trPath != "" {
-		if err := writeTo(*trPath, suite.WriteTrace); err != nil {
+	if inv.trPath != "" {
+		if err := pipm.WriteToAtomic(inv.trPath, suite.WriteTrace); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(stderr, "[trace written to %s]\n", *trPath)
+		fmt.Fprintf(stderr, "[trace written to %s]\n", inv.trPath)
 	}
 	if st, ok := suite.StoreStats(); ok {
 		fmt.Fprintf(stderr, "[store %s: %d hits, %d misses, %d corrupt, %d saves]\n",
@@ -264,13 +248,6 @@ func main() {
 	if failed != nil {
 		fatal(fmt.Errorf("%s: %w", failed.id, failed.err))
 	}
-}
-
-// writeTo streams one export into path via a temp file + rename, so a crash
-// or a failed export never leaves a truncated artefact where a previous good
-// one stood.
-func writeTo(path string, write func(io.Writer) error) error {
-	return pipm.WriteToAtomic(path, write)
 }
 
 // artefact is one requested experiment: its id, buffered stdout content,
@@ -342,12 +319,12 @@ type artefactTiming struct {
 }
 
 func writeBench(path string, s *pipm.Suite, opt pipm.SuiteOptions,
-	arts []*artefact, total time.Duration, parallel int, quick, partial bool) error {
+	arts []*artefact, total time.Duration, quick, partial bool) error {
 	rep := benchReport{
 		Schema:         "pipm-bench/v1",
 		Partial:        partial,
 		Quick:          quick,
-		Parallel:       parallel,
+		Parallel:       opt.Workers,
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		RecordsPerCore: opt.RecordsPerCore,
 		Seed:           opt.Seed,
@@ -379,7 +356,7 @@ func writeBench(path string, s *pipm.Suite, opt pipm.SuiteOptions,
 	return pipm.WriteFileAtomic(path, append(data, '\n'))
 }
 
-func run(w io.Writer, s *pipm.Suite, opt pipm.SuiteOptions, id string) error {
+func run(w io.Writer, s *pipm.Suite, inv *invocation, id string) error {
 	printT := func(t pipm.Table, err error) error {
 		if err != nil {
 			return err
@@ -392,7 +369,7 @@ func run(w io.Writer, s *pipm.Suite, opt pipm.SuiteOptions, id string) error {
 		fmt.Fprint(w, pipm.Table1())
 		return nil
 	case "table2":
-		fmt.Fprint(w, pipm.Table2(opt.Cfg))
+		fmt.Fprint(w, pipm.Table2(inv.opt.Cfg))
 		return nil
 	case "fig4":
 		tabs, err := s.Fig4()
@@ -424,7 +401,7 @@ func run(w io.Writer, s *pipm.Suite, opt pipm.SuiteOptions, id string) error {
 	case "scalability":
 		return printT(s.Scalability(nil))
 	case "clusterscale":
-		tabs, err := s.ClusterScale(clusterHosts)
+		tabs, err := s.ClusterScale(inv.clusterHosts)
 		if err != nil {
 			return err
 		}
@@ -433,7 +410,7 @@ func run(w io.Writer, s *pipm.Suite, opt pipm.SuiteOptions, id string) error {
 		}
 		return nil
 	case "serve":
-		tabs, err := s.ServeComparison(clusterHosts)
+		tabs, err := s.ServeComparison(inv.clusterHosts)
 		if err != nil {
 			return err
 		}

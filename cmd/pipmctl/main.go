@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"pipm/internal/harness"
 	"pipm/internal/service"
 )
 
@@ -35,7 +36,7 @@ commands:
   watch      stream a job's events until it finishes (exit 1 unless done)
   fetch      print a stored run artefact by key (-timeseries/-trace variants)
   schemes    list the daemon's registered placement schemes
-  workloads  list the daemon's workload catalog
+  workloads  list the daemon's registered workloads
 
 run 'pipmctl <command> -h' for the command's flags
 `)
@@ -122,9 +123,11 @@ func getJSON(url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-func cmdSubmit(args []string) error {
-	fs := flag.NewFlagSet("pipmctl submit", flag.ExitOnError)
-	addr := addrFlag(fs)
+// parseSubmit builds the submit command's sweep spec: the -f file, if any,
+// then every flag the user set explicitly, including zero and negative
+// values — the daemon's resolver judges them, not the client.
+func parseSubmit(fs *flag.FlagSet, args []string) (spec harness.SweepSpec, addr string, wait bool, err error) {
+	addrp := addrFlag(fs)
 	var (
 		specFile  = fs.String("f", "", "read the sweep spec from this JSON file ('-' for stdin); flags below override its fields")
 		workloads = fs.String("workloads", "", "comma-separated workload names (empty = base default)")
@@ -135,56 +138,65 @@ func cmdSubmit(args []string) error {
 		sample    = fs.String("timeseries", "", "sample interval enabling the per-run time-series (e.g. 10us)")
 		trace     = fs.Bool("trace", false, "collect the protocol event trace")
 		auditMode = fs.String("audit", "", "invariant auditor mode: off, quantum, paranoid")
-		wait      = fs.Bool("wait", false, "stream the job's events after submitting (like 'watch')")
+		waitp     = fs.Bool("wait", false, "stream the job's events after submitting (like 'watch')")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return spec, "", false, err
+	}
 
-	var spec service.SweepSpec
 	if *specFile != "" {
 		var raw []byte
-		var err error
 		if *specFile == "-" {
 			raw, err = io.ReadAll(os.Stdin)
 		} else {
 			raw, err = os.ReadFile(*specFile)
 		}
 		if err != nil {
-			return err
+			return spec, "", false, err
 		}
 		if err := json.Unmarshal(raw, &spec); err != nil {
-			return fmt.Errorf("%s: %w", *specFile, err)
+			return spec, "", false, fmt.Errorf("%s: %w", *specFile, err)
 		}
 	}
-	if *workloads != "" {
-		spec.Workloads = strings.Split(*workloads, ",")
+	list := func(s string) []string {
+		if s == "" {
+			return nil
+		}
+		return strings.Split(s, ",")
 	}
-	if *schemes != "" {
-		spec.Schemes = strings.Split(*schemes, ",")
-	}
-	if *records > 0 {
-		spec.Records = *records
-	}
-	if *seed != 0 {
-		spec.Seed = *seed
-	}
-	if *quick {
-		spec.Quick = true
-	}
-	if *sample != "" {
-		spec.SampleInterval = *sample
-	}
-	if *trace {
-		spec.Trace = true
-	}
-	if *auditMode != "" {
-		spec.Audit = *auditMode
-	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "workloads":
+			spec.Workloads = list(*workloads)
+		case "schemes":
+			spec.Schemes = list(*schemes)
+		case "records":
+			spec.Records = *records
+		case "seed":
+			spec.Seed = *seed
+		case "quick":
+			spec.Quick = *quick
+		case "timeseries":
+			spec.SampleInterval = *sample
+		case "trace":
+			spec.Trace = *trace
+		case "audit":
+			spec.Audit = *auditMode
+		}
+	})
+	return spec, *addrp, *waitp, nil
+}
 
+func cmdSubmit(args []string) error {
+	spec, addr, wait, err := parseSubmit(flag.NewFlagSet("pipmctl submit", flag.ExitOnError), args)
+	if err != nil {
+		return err
+	}
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return err
 	}
-	resp, err := api(http.MethodPost, *addr+"/v1/sweeps", bytes.NewReader(body))
+	resp, err := api(http.MethodPost, addr+"/v1/sweeps", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -199,8 +211,8 @@ func cmdSubmit(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "pipmctl: %s: %d runs, state %s\n", note, sub.Total, sub.State)
 	fmt.Println(sub.ID)
-	if *wait {
-		return watch(*addr, sub.ID)
+	if wait {
+		return watch(addr, sub.ID)
 	}
 	return nil
 }
@@ -396,6 +408,10 @@ func cmdList(args []string, path string) error {
 			return err
 		}
 		for _, w := range wls {
+			if w.Mechanistic {
+				fmt.Printf("%-12s %-10s %4d MiB  mechanistic\n", w.Name, w.Suite, w.FootprintBytes>>20)
+				continue
+			}
 			fmt.Printf("%-12s %-10s %4d MiB  shared %.0f%%  writes %.0f%%\n",
 				w.Name, w.Suite, w.FootprintBytes>>20, 100*w.SharedFrac, 100*w.WriteFrac)
 		}

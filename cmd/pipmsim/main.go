@@ -6,6 +6,7 @@
 //
 //	pipmsim -workload pr -scheme pipm -records 400000
 //	pipmsim -workload ycsb -scheme native -hosts 4 -cores 2 -shared 16
+//	pipmsim -scheme pipm -tracedir trc    # replay tracegen -outdir trc
 package main
 
 import (
@@ -18,51 +19,106 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"pipm"
-	"pipm/internal/stats"
+	"pipm/internal/harness"
+	"pipm/internal/migration"
+	"pipm/internal/store"
 	"pipm/internal/telemetry"
 	"pipm/internal/trace"
 )
 
-func main() {
+// invocation is one parsed pipmsim command line.
+type invocation struct {
+	list func(io.Writer) // -list-schemes or -list-workloads: print and exit
+
+	reqs []harness.RunRequest // the run, then the native baseline with -compare
+
+	tracedir, tsPath, trPath, storeDir, pprofAddr string
+}
+
+// parseArgs maps pipmsim's flags onto a harness.SweepSpec of one workload
+// and one scheme and resolves it.
+func parseArgs(fs *flag.FlagSet, args []string) (*invocation, error) {
 	var (
-		wlName   = flag.String("workload", "pr", "workload name ("+strings.Join(pipm.WorkloadNames(), ", ")+")")
-		scheme   = flag.String("scheme", "pipm", "placement scheme ("+strings.Join(pipm.SchemeNames(), ", ")+")")
-		records  = flag.Int64("records", 400_000, "trace records per core")
-		seed     = flag.Int64("seed", 1, "workload generator seed")
-		hosts    = flag.Int("hosts", 0, "override host count (0 = config default)")
-		cores    = flag.Int("cores", 0, "override cores per host (0 = config default)")
-		shared   = flag.Int64("shared", 0, "override shared heap size in MiB (0 = config default)")
-		compare  = flag.Bool("compare", false, "also run the native baseline and report speedup")
-		tracedir = flag.String("tracedir", "", "replay binary traces (h<h>c<c>.trc, from tracegen -outdir) instead of generating")
+		wlName   = fs.String("workload", "pr", "workload name ("+strings.Join(pipm.WorkloadNames(), ", ")+")")
+		scheme   = fs.String("scheme", "pipm", "placement scheme ("+strings.Join(pipm.SchemeNames(), ", ")+")")
+		records  = fs.Int64("records", 400_000, "trace records per core")
+		seed     = fs.Int64("seed", 1, "workload generator seed")
+		hosts    = fs.Int("hosts", 0, "override host count (0 = config default)")
+		cores    = fs.Int("cores", 0, "override cores per host (0 = config default)")
+		shared   = fs.Int64("shared", 0, "override shared heap size in MiB (0 = config default)")
+		compare  = fs.Bool("compare", false, "also run the native baseline and report speedup")
+		tracedir = fs.String("tracedir", "", "replay binary traces (h<h>c<c>.trc, from tracegen -outdir) instead of generating")
 
-		tsPath    = flag.String("timeseries", "", "write the run's interval time-series to this file (JSON, or CSV if the path ends in .csv)")
-		trPath    = flag.String("trace", "", "write the run's protocol event trace to this file (Chrome trace-event JSON, loadable in ui.perfetto.dev)")
-		sampleInt = flag.Duration("sample-interval", 10*time.Microsecond, "time-series sampling interval in simulated time (with -timeseries)")
-		storeDir  = flag.String("store", os.Getenv("PIPM_STORE"), "persistent result store directory: a previously simulated identical run is loaded instead of re-simulated (default $PIPM_STORE; ignored with -tracedir)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		tsPath    = fs.String("timeseries", "", "write the run's interval time-series to this file (JSON, or CSV if the path ends in .csv)")
+		trPath    = fs.String("trace", "", "write the run's protocol event trace to this file (Chrome trace-event JSON, loadable in ui.perfetto.dev)")
+		sampleInt = fs.Duration("sample-interval", 10*time.Microsecond, "time-series sampling interval in simulated time (with -timeseries)")
+		storeDir  = fs.String("store", os.Getenv("PIPM_STORE"), "persistent result store directory: a previously simulated identical run is loaded instead of re-simulated (default $PIPM_STORE; ignored with -tracedir)")
+		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 
-		listSchemes   = flag.Bool("list-schemes", false, "list registered placement schemes and exit")
-		listWorkloads = flag.Bool("list-workloads", false, "list every registered workload (Table 1 catalog + production services) and exit")
+		listSchemes   = fs.Bool("list-schemes", false, "list registered placement schemes and exit")
+		listWorkloads = fs.Bool("list-workloads", false, "list every registered workload (Table 1 catalog + production services) and exit")
 	)
-	flag.Parse()
-
-	if *listSchemes {
-		printSchemes(os.Stdout)
-		return
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if *listWorkloads {
-		printWorkloads(os.Stdout)
+	inv := &invocation{tracedir: *tracedir, tsPath: *tsPath, trPath: *trPath,
+		storeDir: *storeDir, pprofAddr: *pprofAddr}
+	switch {
+	case *listSchemes:
+		inv.list = harness.ListSchemes
+		return inv, nil
+	case *listWorkloads:
+		inv.list = harness.ListWorkloads
+		return inv, nil
+	}
+
+	// A zero budget simulates nothing: unlike the sweep CLIs, pipmsim has no
+	// "0 = default" record count. Negative values fail in the resolver.
+	if *records == 0 {
+		return nil, fmt.Errorf("-records must be ≥ 1, got 0")
+	}
+	if *scheme == "all" {
+		return nil, fmt.Errorf("-scheme names one scheme, got %q", *scheme)
+	}
+	spec := harness.SweepSpec{
+		Workloads: []string{*wlName}, Schemes: []string{*scheme}, Records: *records,
+		Hosts: *hosts, Cores: *cores, SharedMiB: *shared, Trace: *trPath != "",
+	}
+	if *tsPath != "" {
+		spec.SampleInterval = sampleInt.String()
+	}
+	opt, kinds, err := spec.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	// The spec reads seed 0 as "the default"; pipmsim's -seed 0 is seed 0.
+	opt.Seed = *seed
+	inv.reqs = []harness.RunRequest{opt.Request(opt.Workloads[0], kinds[0])}
+	if *compare && kinds[0] != migration.Native {
+		nat := inv.reqs[0]
+		nat.Scheme, nat.Telemetry = migration.Native, telemetry.Options{}
+		inv.reqs = append(inv.reqs, nat)
+	}
+	return inv, nil
+}
+
+func main() {
+	inv, err := parseArgs(flag.NewFlagSet(os.Args[0], flag.ExitOnError), os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	if inv.list != nil {
+		inv.list(os.Stdout)
 		return
 	}
 
 	// Bind the pprof listener before the run starts: a bad -pprof address
 	// must fail immediately, not vanish into a goroutine's log line.
-	if *pprofAddr != "" {
-		ln, err := net.Listen("tcp", *pprofAddr)
+	if inv.pprofAddr != "" {
+		ln, err := net.Listen("tcp", inv.pprofAddr)
 		if err != nil {
 			fatal(fmt.Errorf("pprof: %w", err))
 		}
@@ -73,7 +129,7 @@ func main() {
 
 	// Fail fast on unwritable export paths — before the simulation, not
 	// after it.
-	for _, path := range []string{*tsPath, *trPath} {
+	for _, path := range []string{inv.tsPath, inv.trPath} {
 		if path != "" {
 			if err := pipm.ProbeOutputFile(path); err != nil {
 				fatal(err)
@@ -81,91 +137,42 @@ func main() {
 		}
 	}
 
-	// Size overrides fail fast: a negative count is a typo, not a request
-	// for the default, and a zero record budget simulates nothing.
-	if *records < 1 {
-		fatal(fmt.Errorf("-records must be ≥ 1, got %d", *records))
-	}
-	for _, o := range []struct {
-		name string
-		v    int64
-	}{{"hosts", int64(*hosts)}, {"cores", int64(*cores)}, {"shared", *shared}} {
-		if o.v < 0 {
-			fatal(fmt.Errorf("-%s must be ≥ 0 (0 = config default), got %d", o.name, o.v))
+	// One runner executes the run and the -compare baseline; a store, when
+	// given, lets an identical earlier run — from this tool or a whole
+	// experiments sweep — answer from disk.
+	var st *store.Store
+	if inv.storeDir != "" && inv.tracedir == "" {
+		if st, err = store.Open(inv.storeDir); err != nil {
+			fatal(err)
 		}
 	}
-
-	wl, err := pipm.WorkloadByName(*wlName)
-	if err != nil {
-		fatal(err)
-	}
-	k, err := pipm.ParseScheme(*scheme)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := pipm.ScaledConfig()
-	if *hosts > 0 {
-		// ScaleForHosts also widens the directory slice count with the
-		// cluster, matching the harness's clusterscale configs.
-		cfg = pipm.ScaleForHosts(cfg, *hosts)
-	}
-	if *cores > 0 {
-		cfg.CoresPerHost = *cores
-	}
-	if *shared > 0 {
-		cfg.SharedBytes = *shared << 20
-	}
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-
-	var topt pipm.TelemetryOptions
-	if *tsPath != "" {
-		if *sampleInt <= 0 {
-			fatal(fmt.Errorf("-sample-interval must be positive, got %v", *sampleInt))
-		}
-		topt.SampleInterval = pipm.Time(sampleInt.Nanoseconds()) * pipm.Nanosecond
-	}
-	if *trPath != "" {
-		topt.Trace = true
-	}
-
-	var res pipm.Result
-	var tout *pipm.TelemetryOutput
-	var err2 error
-	switch {
-	case *tracedir != "":
+	runner := harness.NewRunner(harness.Options{Store: st})
+	req := inv.reqs[0]
+	var res harness.Result
+	var tout *telemetry.Output
+	if inv.tracedir != "" {
 		// Replayed traces have no canonical run key (the trace files are not
-		// part of any hashable recipe), so the store never applies here.
-		res, tout, err2 = runFromTraces(cfg, k, *tracedir, topt)
-	case *storeDir != "":
-		// Route through the store-backed runner: an identical earlier run —
-		// from this tool or a whole experiments sweep — answers from disk.
-		var st *pipm.ResultStore
-		if st, err2 = pipm.OpenStore(*storeDir); err2 == nil {
-			runner := pipm.NewRunner(pipm.SuiteOptions{Store: st})
-			req := pipm.RunRequest{Cfg: cfg, WL: wl, Scheme: k, Records: *records, Seed: *seed,
-				Telemetry: topt}
-			res, err2 = runner.Get(req)
-			tout = runner.Telemetry(req)
-			if stats, ok := runner.StoreStats(); ok && err2 == nil {
-				if stats.Hits > 0 {
-					fmt.Fprintf(os.Stderr, "[store hit: loaded from %s]\n", stats.Dir)
-				}
-			}
+		// part of any hashable recipe), so they bypass the runner and store.
+		res, tout, err = runFromTraces(req, inv.tracedir)
+	} else {
+		res, err = runner.Get(req)
+		tout = runner.Telemetry(req)
+		if stats, ok := runner.StoreStats(); ok && err == nil && stats.Hits > 0 {
+			fmt.Fprintf(os.Stderr, "[store hit: loaded from %s]\n", stats.Dir)
 		}
-	default:
-		res, tout, err2 = pipm.RunWithOptions(cfg, wl, k, *records, *seed,
-			pipm.RunOptions{Telemetry: topt})
 	}
-	if err2 != nil {
-		fatal(err2)
-	}
-	if err := exportTelemetry(tout, wl.Name, k, *tsPath, *trPath); err != nil {
+	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("workload        %s (%s)\n", wl.Name, wl.Suite)
-	fmt.Printf("scheme          %v\n", k)
+	if err := exportTelemetry(tout, res.Workload, req.Scheme, inv.tsPath, inv.trPath); err != nil {
+		fatal(err)
+	}
+	if inv.tracedir != "" {
+		fmt.Printf("workload        %s (replayed traces)\n", inv.tracedir)
+	} else {
+		fmt.Printf("workload        %s (%s)\n", req.WL.Name, req.WL.Suite)
+	}
+	fmt.Printf("scheme          %v\n", req.Scheme)
 	fmt.Printf("exec time       %v\n", res.ExecTime)
 	fmt.Printf("IPC             %.3f\n", res.IPC)
 	fmt.Printf("local hit rate  %.1f%%\n", 100*res.LocalHitRate)
@@ -182,12 +189,12 @@ func main() {
 			100*res.LocalRemapHitRate, 100*res.GlobalRemapHitRate)
 	}
 
-	if *compare && k != pipm.Native {
-		nat, err := pipm.Run(cfg, wl, pipm.Native, *records, *seed)
+	if len(inv.reqs) > 1 {
+		nat, err := runner.Get(inv.reqs[1])
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("speedup         %.2fx over native (%v)\n", pipm.Speedup(res, nat), nat.ExecTime)
+		fmt.Printf("speedup         %.2fx over native (%v)\n", harness.Speedup(res, nat), nat.ExecTime)
 	}
 }
 
@@ -203,13 +210,13 @@ func exportTelemetry(tout *pipm.TelemetryOutput, wl string, k pipm.Scheme, tsPat
 		if strings.HasSuffix(tsPath, ".csv") {
 			write = func(w io.Writer) error { return telemetry.WriteTimeSeriesCSV(w, runs) }
 		}
-		if err := writeTo(tsPath, write); err != nil {
+		if err := pipm.WriteToAtomic(tsPath, write); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "[time-series written to %s]\n", tsPath)
 	}
 	if trPath != "" {
-		if err := writeTo(trPath, func(w io.Writer) error { return telemetry.WriteChromeTrace(w, runs) }); err != nil {
+		if err := pipm.WriteToAtomic(trPath, func(w io.Writer) error { return telemetry.WriteChromeTrace(w, runs) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "[trace written to %s]\n", trPath)
@@ -217,20 +224,16 @@ func exportTelemetry(tout *pipm.TelemetryOutput, wl string, k pipm.Scheme, tsPat
 	return nil
 }
 
-// writeTo streams one export into path atomically (temp file + rename), so
-// a failed export never clobbers a previous good file.
-func writeTo(path string, write func(io.Writer) error) error {
-	return pipm.WriteToAtomic(path, write)
-}
-
-// runFromTraces replays tracegen -outdir output through the machine.
-func runFromTraces(cfg pipm.Config, k pipm.Scheme, dir string, topt pipm.TelemetryOptions) (pipm.Result, *pipm.TelemetryOutput, error) {
-	m, err := pipm.NewMachine(cfg, k)
+// runFromTraces replays tracegen -outdir output through req's machine; the
+// traces stand in for req's generators, so req.Records and req.Seed do not
+// apply. The Result is labelled with the trace directory.
+func runFromTraces(req harness.RunRequest, dir string) (harness.Result, *telemetry.Output, error) {
+	m, err := pipm.NewMachine(req.Cfg, req.Scheme)
 	if err != nil {
-		return pipm.Result{}, nil, err
+		return harness.Result{}, nil, err
 	}
-	if err := m.EnableTelemetry(topt); err != nil {
-		return pipm.Result{}, nil, err
+	if err := m.EnableTelemetry(req.Telemetry); err != nil {
+		return harness.Result{}, nil, err
 	}
 	var files []*os.File
 	defer func() {
@@ -238,68 +241,25 @@ func runFromTraces(cfg pipm.Config, k pipm.Scheme, dir string, topt pipm.Telemet
 			f.Close()
 		}
 	}()
-	for h := 0; h < cfg.Hosts; h++ {
-		for c := 0; c < cfg.CoresPerHost; c++ {
+	for h := 0; h < req.Cfg.Hosts; h++ {
+		for c := 0; c < req.Cfg.CoresPerHost; c++ {
 			name := filepath.Join(dir, fmt.Sprintf("h%dc%d.trc", h, c))
 			f, err := os.Open(name)
 			if err != nil {
-				return pipm.Result{}, nil, err
+				return harness.Result{}, nil, err
 			}
 			files = append(files, f)
 			r, err := trace.NewBinaryReader(f)
 			if err != nil {
-				return pipm.Result{}, nil, fmt.Errorf("%s: %w", name, err)
+				return harness.Result{}, nil, fmt.Errorf("%s: %w", name, err)
 			}
 			m.SetTrace(h, c, r)
 		}
 	}
 	if err := m.Run(); err != nil {
-		return pipm.Result{}, nil, err
+		return harness.Result{}, nil, err
 	}
-	col := m.Stats()
-	return pipm.Result{
-		Scheme:         k,
-		ExecTime:       m.ExecTime(),
-		IPC:            m.IPC(),
-		LocalHitRate:   col.LocalHitRate(),
-		InterStallFrac: col.StallFraction(stats.ClassInterHost),
-		MgmtStallFrac:  col.MgmtFraction(),
-		TransferFrac:   col.TransferFraction(),
-		HarmfulFrac:    m.HarmfulFraction(),
-		Promotions:     col.Promotions,
-		Demotions:      col.Demotions,
-		LinesMoved:     col.LinesMoved,
-		BytesMoved:     col.BytesMoved,
-	}, m.TelemetryOutput(), nil
-}
-
-// printSchemes lists the scheme registry (the same source -scheme parses).
-func printSchemes(w io.Writer) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "NAME\tFAMILY\tDESCRIPTION")
-	for _, s := range pipm.RegisteredSchemes() {
-		fmt.Fprintf(tw, "%s\t%v\t%s\n", s.Name, s.Family, s.Desc)
-	}
-	tw.Flush()
-}
-
-// printWorkloads lists every workload the -workload flag accepts: the
-// Table 1 statistical catalog plus the mechanistic production-service
-// generators, whose mix comes from their serving/filesystem loop rather
-// than SharedFrac/WriteFrac knobs.
-func printWorkloads(w io.Writer) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "NAME\tSUITE\tFOOTPRINT\tSHARED%\tWRITE%")
-	for _, wl := range pipm.AllWorkloads() {
-		if wl.Mechanistic() {
-			fmt.Fprintf(tw, "%s\t%s\t%dMB\tmechanistic\t-\n",
-				wl.Name, wl.Suite, wl.Footprint>>20)
-			continue
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%dMB\t%.0f%%\t%.0f%%\n",
-			wl.Name, wl.Suite, wl.Footprint>>20, 100*wl.SharedFrac, 100*wl.WriteFrac)
-	}
-	tw.Flush()
+	return harness.Collect(m, dir), m.TelemetryOutput(), nil
 }
 
 func fatal(err error) {

@@ -24,89 +24,87 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"pipm/internal/audit"
 	"pipm/internal/harness"
-	"pipm/internal/migration"
 	"pipm/internal/store"
 	"pipm/internal/validate"
-	"pipm/internal/workload"
 )
 
-func main() {
+// invocation is one parsed validate command line.
+type invocation struct {
+	opt                validate.Options
+	jsonPath, storeDir string
+}
+
+// parseArgs maps validate's flags onto a harness.SweepSpec, resolves it and
+// builds the validation pass's options.
+func parseArgs(fs *flag.FlagSet, args []string) (*invocation, error) {
 	var (
-		quick      = flag.Bool("quick", false, "use the small quick configuration (the CI tier)")
-		records    = flag.Int64("records", 0, "override trace records per core")
-		seeds      = flag.Int("seeds", 5, "replication seeds per (scheme, workload)")
-		parallel   = flag.Int("parallel", 0, "max simulations in flight (0 = GOMAXPROCS)")
-		progress   = flag.Bool("progress", false, "emit per-run progress lines on stderr")
-		jsonPath   = flag.String("json", "", "write the machine-readable report to this file")
-		auditMode  = flag.String("audit", "quantum", "auditor mode for the audited sweep: off, quantum or paranoid")
-		auditEvery = flag.Int("audit-interval", 0, "quanta between periodic sweeps (0 = default)")
-		workloads  = flag.String("workloads", "", "comma-separated workload subset (default: the tier's set)")
-		schemes    = flag.String("schemes", "", "comma-separated scheme subset (default: all registered)")
-		storeDir   = flag.String("store", os.Getenv("PIPM_STORE"), "persistent result store directory for the unaudited phases (default $PIPM_STORE; audited runs always execute)")
+		quick      = fs.Bool("quick", false, "use the small quick configuration (the CI tier)")
+		records    = fs.Int64("records", 0, "override trace records per core (0 = the tier's default)")
+		seeds      = fs.Int("seeds", 5, "replication seeds per (scheme, workload), ≥ 1")
+		parallel   = fs.Int("parallel", 0, "max simulations in flight (0 = GOMAXPROCS)")
+		progress   = fs.Bool("progress", false, "emit per-run progress lines on stderr")
+		jsonPath   = fs.String("json", "", "write the machine-readable report to this file")
+		auditMode  = fs.String("audit", "quantum", "auditor mode for the audited sweep: off, quantum or paranoid")
+		auditEvery = fs.Int("audit-interval", 0, "quanta between periodic sweeps (0 = default)")
+		workloads  = fs.String("workloads", "", "comma-separated workload subset (default: the tier's set)")
+		schemes    = fs.String("schemes", "", "comma-separated scheme subset (default: all registered)")
+		storeDir   = fs.String("store", os.Getenv("PIPM_STORE"), "persistent result store directory for the unaudited phases (default $PIPM_STORE; audited runs always execute)")
 	)
-	flag.Parse()
-
-	// Fail fast on an unwritable report path: the validation pass can take
-	// minutes, and its verdict must not be lost to a typo discovered at the
-	// end.
-	if *jsonPath != "" {
-		if err := store.ProbeFile(*jsonPath); err != nil {
-			fatal(err)
-		}
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-
-	o := validate.Options{Harness: harness.DefaultOptions(), Seeds: *seeds}
-	if *quick {
-		o = validate.Quick()
-		o.Seeds = *seeds
+	if *seeds < 1 {
+		return nil, fmt.Errorf("-seeds must be ≥ 1, got %d", *seeds)
 	}
-	if *records > 0 {
-		o.Harness.RecordsPerCore = *records
+	// The spec reads an empty mode as "no auditor" and a lone "all" as every
+	// scheme; neither is a value these flags accept.
+	if *auditMode == "" {
+		return nil, fmt.Errorf("-audit: want off, quantum or paranoid")
+	}
+	names := harness.SplitList(*schemes)
+	if len(names) == 1 && names[0] == "all" {
+		return nil, fmt.Errorf("-schemes: unknown scheme %q (omit the flag for every scheme)", names[0])
+	}
+	spec := harness.SweepSpec{Quick: *quick, Records: *records, Audit: *auditMode,
+		Workloads: harness.SplitList(*workloads), Schemes: names}
+	opt, kinds, err := spec.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	o := validate.Options{Harness: opt, Schemes: kinds, Seeds: *seeds}
+	if o.Harness.Audit.Enabled() {
+		o.Harness.Audit.Interval = *auditEvery
 	}
 	o.Harness.Workers = *parallel
 	if *progress {
 		o.Harness.Progress = os.Stderr
 	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
+	return &invocation{opt: o, jsonPath: *jsonPath, storeDir: *storeDir}, nil
+}
+
+func main() {
+	inv, err := parseArgs(flag.NewFlagSet(os.Args[0], flag.ExitOnError), os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+
+	// Fail fast on an unwritable report path: the validation pass can take
+	// minutes, and its verdict must not be lost to a typo discovered at the
+	// end.
+	if inv.jsonPath != "" {
+		if err := store.ProbeFile(inv.jsonPath); err != nil {
+			fatal(err)
+		}
+	}
+	o := inv.opt
+	if inv.storeDir != "" {
+		st, err := store.Open(inv.storeDir)
 		if err != nil {
 			fatal(err)
 		}
 		o.Harness.Store = st
-	}
-
-	mode, err := audit.ParseMode(*auditMode)
-	if err != nil {
-		fatal(err)
-	}
-	o.Audit = audit.Options{Mode: mode, Interval: *auditEvery}.WithDefaults()
-	if mode == audit.Off {
-		o.Audit = audit.Options{}
-	}
-
-	if *workloads != "" {
-		var wls []workload.Params
-		for _, name := range strings.Split(*workloads, ",") {
-			p, err := workload.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			wls = append(wls, p)
-		}
-		o.Harness.Workloads = wls
-	}
-	if *schemes != "" {
-		for _, name := range strings.Split(*schemes, ",") {
-			sc, err := migration.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			o.Schemes = append(o.Schemes, sc.Kind)
-		}
 	}
 
 	rep, err := validate.Run(o)
@@ -115,11 +113,11 @@ func main() {
 	}
 	rep.Render(os.Stdout)
 
-	if *jsonPath != "" {
-		if err := store.WriteToAtomic(*jsonPath, rep.WriteJSON); err != nil {
+	if inv.jsonPath != "" {
+		if err := store.WriteToAtomic(inv.jsonPath, rep.WriteJSON); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "[validate] wrote %s\n", *jsonPath)
+		fmt.Fprintf(os.Stderr, "[validate] wrote %s\n", inv.jsonPath)
 	}
 
 	if err := rep.Err(); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"pipm/internal/audit"
 	"pipm/internal/migration"
-	"pipm/internal/telemetry"
 )
 
 // The auditor must be a pure observer: attaching it may not perturb a
@@ -44,13 +43,15 @@ func TestAuditorObservationOnly(t *testing.T) {
 		return m
 	}
 	for _, k := range []migration.Kind{migration.Native, migration.Memtis, migration.PIPM, migration.LocalOnly} {
-		bare, err := RunOne(o.Cfg, wl, k, o.RecordsPerCore, o.Seed)
+		bare, _, _, err := Run(o.Request(wl, k))
 		if err != nil {
 			t.Fatalf("%v bare: %v", k, err)
 		}
 		want := DigestResult(bare)
 		for _, am := range modesFor(k) {
-			res, _, rep, err := RunOneA(o.Cfg, wl, k, o.RecordsPerCore, o.Seed, telemetry.Options{}, am.WithDefaults())
+			req := o.Request(wl, k)
+			req.Audit = am.WithDefaults()
+			res, _, rep, err := Run(req)
 			if err != nil {
 				t.Fatalf("%v %v: %v", k, am.Mode, err)
 			}
@@ -77,11 +78,13 @@ func TestAuditedRunDeterminism(t *testing.T) {
 	wl := o.Workloads[0]
 	aopt := audit.Options{Mode: audit.Quantum}.WithDefaults()
 
-	r1, _, rep1, err := RunOneA(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed, telemetry.Options{}, aopt)
+	req := o.Request(wl, migration.PIPM)
+	req.Audit = aopt
+	r1, _, rep1, err := Run(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, rep2, err := RunOneA(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed, telemetry.Options{}, aopt)
+	r2, _, rep2, err := Run(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +99,7 @@ func TestAuditedRunDeterminism(t *testing.T) {
 	// One scheme per family is enough to catch a scheduling-order leak.
 	schemes := []migration.Kind{migration.Native, migration.Memtis, migration.PIPM, migration.LocalOnly}
 	digests := func(workers int) map[string]string {
-		runner := NewRunner(workers, nil)
+		runner := NewRunner(Options{Workers: workers})
 		out := make(map[string]string)
 		for _, k := range schemes {
 			res, err := runner.Get(RunRequest{
@@ -142,7 +145,7 @@ func TestGoldenQuickSweepAudited(t *testing.T) {
 		workloads = o.Workloads
 	}
 	aopt := audit.Options{Mode: audit.Quantum}.WithDefaults()
-	runner := NewRunner(0, nil)
+	runner := NewRunner(Options{})
 
 	for _, wl := range workloads {
 		for _, k := range migration.Kinds {

@@ -25,7 +25,7 @@ func BenchmarkKeyOf(b *testing.B) {
 // result-store body written for a short pr/PIPM quick run.
 func BenchmarkDecodeStoredEntry(b *testing.B) {
 	o := QuickOptions()
-	res, err := RunOne(o.Cfg, mustWorkload("pr"), migration.PIPM, 2000, 1)
+	res, _, _, err := Run(RunRequest{Cfg: o.Cfg, WL: mustWorkload("pr"), Scheme: migration.PIPM, Records: 2000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -63,7 +63,7 @@ type RunStats struct {
 	CoresPerHost int   `json:"cores_per_host"`
 	TotalRecords int64 `json:"total_records"`
 
-	WallMS       float64 `json:"wall_ms"` // host wall-clock for RunOne
+	WallMS       float64 `json:"wall_ms"` // host wall-clock for Run
 	SimPS        int64   `json:"sim_ps"`  // simulated execution time (picoseconds)
 	Instructions int64   `json:"instructions"`
 	MIPS         float64 `json:"mips"`      // simulated instructions per wall-µs
@@ -78,7 +78,7 @@ type RunStats struct {
 // builders may request runs concurrently; each distinct key executes exactly
 // once, at most `workers` simulations run at a time, and every requester of
 // a key blocks until its one execution finishes. Results are deterministic
-// for any worker count because RunOne itself is deterministic and table
+// for any worker count because Run itself is deterministic and table
 // assembly reads the memo in presentation order.
 type engine struct {
 	workers  int
@@ -265,9 +265,7 @@ func (e *engine) getOnce(ctx context.Context, req RunRequest) (Result, error) {
 		return Result{}, ctx.Err()
 	}
 	start := time.Now()
-	ent.res, ent.telem, ent.report, ent.err = RunOneOpts(
-		req.Cfg, req.WL, req.Scheme, req.Records, req.Seed,
-		RunOpts{Telemetry: req.Telemetry, Audit: req.Audit})
+	ent.res, ent.telem, ent.report, ent.err = Run(req)
 	if ent.err == nil {
 		// An invariant violation fails the run exactly like a build error
 		// would: every requester of this key sees it.
@@ -391,17 +389,10 @@ func (e *engine) statsSnapshot() []RunStats {
 // equal keys — across any goroutines — simulate once and share the Result.
 type Runner struct{ eng *engine }
 
-// NewRunner builds a runner executing at most workers simulations at a time
-// (≤ 0 means GOMAXPROCS); progress, when non-nil, receives one line per
-// completed run.
-func NewRunner(workers int, progress io.Writer) *Runner {
-	return &Runner{eng: newEngine(workers, progress, nil, nil)}
-}
-
-// NewRunnerOpts builds a runner from the full option set, including the
-// persistent result store (Options.Store) and the OnRunDone completion hook
-// the plain constructor omits.
-func NewRunnerOpts(o Options) *Runner {
+// NewRunner builds a runner from the option set's runtime fields: Workers
+// (≤ 0 means GOMAXPROCS), Progress, Store and OnRunDone. The sweep-shaping
+// fields are ignored — each request names its own run.
+func NewRunner(o Options) *Runner {
 	return &Runner{eng: newEngine(o.Workers, o.Progress, o.Store, o.OnRunDone)}
 }
 

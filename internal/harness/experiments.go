@@ -80,8 +80,9 @@ func (s *Suite) WriteTrace(w io.Writer) error {
 
 // req names one run at the suite's record budget, seed and telemetry config.
 func (s *Suite) req(cfg config.Config, wl workload.Params, k migration.Kind) RunRequest {
-	return RunRequest{Cfg: cfg, WL: wl, Scheme: k, Records: s.opt.RecordsPerCore,
-		Seed: s.opt.Seed, Telemetry: s.opt.Telemetry, Audit: s.opt.Audit}
+	r := s.opt.Request(wl, k)
+	r.Cfg = cfg
+	return r
 }
 
 // get fetches one run through the engine's memo.

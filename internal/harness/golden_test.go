@@ -231,7 +231,7 @@ func digestSweep(t *testing.T, labels []goldenEntry, reqs []RunRequest) []golden
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, err := RunOne(r.Cfg, r.WL, r.Scheme, r.Records, r.Seed)
+			res, _, _, err := Run(r)
 			if err != nil {
 				errs[i] = fmt.Errorf("%s: %w", labels[i].label(), err)
 				return

@@ -19,7 +19,7 @@ func quickSuite(t *testing.T) *Suite {
 func TestRunOneProducesMetrics(t *testing.T) {
 	o := QuickOptions()
 	wl, _ := workload.ByName("pr")
-	r, err := RunOne(o.Cfg, wl, migration.PIPM, 30_000, 1)
+	r, _, _, err := Run(RunRequest{Cfg: o.Cfg, WL: wl, Scheme: migration.PIPM, Records: 30_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func TestRunOneRejectsBadConfig(t *testing.T) {
 	o := QuickOptions()
 	o.Cfg.Hosts = 0
 	wl, _ := workload.ByName("pr")
-	if _, err := RunOne(o.Cfg, wl, migration.Native, 100, 1); err == nil {
-		t.Fatal("RunOne accepted a broken config")
+	if _, _, _, err := Run(RunRequest{Cfg: o.Cfg, WL: wl, Scheme: migration.Native, Records: 100, Seed: 1}); err == nil {
+		t.Fatal("Run accepted a broken config")
 	}
 }
 

@@ -49,8 +49,9 @@ func TestInstrumentedRunDeterminism(t *testing.T) {
 		t.Run(wl.Name, func(t *testing.T) {
 			t.Parallel()
 			run := func() (Result, *telemetry.Output, audit.Report) {
-				res, tout, rep, err := RunOneOpts(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed,
-					RunOpts{Telemetry: o.Telemetry, Audit: aopt})
+				req := o.Request(wl, migration.PIPM)
+				req.Audit = aopt
+				res, tout, rep, err := Run(req)
 				if err != nil {
 					t.Fatal(err)
 				}

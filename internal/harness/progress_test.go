@@ -30,7 +30,7 @@ func TestProgressOutputSerialised(t *testing.T) {
 	const n = 8
 
 	var buf bytes.Buffer
-	runner := NewRunner(4, &buf)
+	runner := NewRunner(Options{Workers: 4, Progress: &buf})
 	var wg sync.WaitGroup
 	for seed := int64(1); seed <= n; seed++ {
 		wg.Add(1)

@@ -19,7 +19,7 @@ import (
 // RunKey canonically identifies one simulation: a digest of the full
 // config.Config, the complete workload.Params, the scheme, the per-core
 // record budget and the seed. Two runs with equal keys produce bit-identical
-// Results (RunOne is deterministic), so the engine memoizes and deduplicates
+// Results (Run is deterministic), so the engine memoizes and deduplicates
 // by key — unlike the old name-only memo, a modified Params under a reused
 // name can never alias a stale result.
 type RunKey [sha256.Size]byte

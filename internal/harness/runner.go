@@ -142,70 +142,47 @@ type Result struct {
 	GlobalRemapHitRate float64
 }
 
-// RunOne executes a single (config, workload, scheme) simulation.
-func RunOne(cfg config.Config, wl workload.Params, k migration.Kind, records, seed int64) (Result, error) {
-	r, _, err := RunOneT(cfg, wl, k, records, seed, telemetry.Options{})
-	return r, err
-}
-
-// RunOneT is RunOne with telemetry: when topt is enabled the machine collects
-// the configured time-series and/or event trace and returns it alongside the
-// Result (nil when disabled). Telemetry does not change the Result.
-func RunOneT(cfg config.Config, wl workload.Params, k migration.Kind, records, seed int64,
-	topt telemetry.Options) (Result, *telemetry.Output, error) {
-	r, out, _, err := RunOneA(cfg, wl, k, records, seed, topt, audit.Options{})
-	return r, out, err
-}
-
-// RunOneA is RunOneT with the runtime invariant auditor: when aopt is enabled
-// the machine sweeps its protocol state during the run and the returned
-// Report carries any violations (Report.Err() is nil on a clean run). The
-// auditor is observation-only, so the Result — and the telemetry stream — are
-// bit-identical to an unaudited run's.
-func RunOneA(cfg config.Config, wl workload.Params, k migration.Kind, records, seed int64,
-	topt telemetry.Options, aopt audit.Options) (Result, *telemetry.Output, audit.Report, error) {
-	return RunOneOpts(cfg, wl, k, records, seed, RunOpts{Telemetry: topt, Audit: aopt})
-}
-
-// RunOpts bundles every optional subsystem a single run can attach. Each
-// field's zero value disables its subsystem.
-type RunOpts struct {
-	Telemetry telemetry.Options
-	Audit     audit.Options
-}
-
-// RunOneOpts executes one simulation with the given optional subsystems
-// attached. Telemetry and audit are observers: neither changes one bit of
-// the Result.
-func RunOneOpts(cfg config.Config, wl workload.Params, k migration.Kind, records, seed int64,
-	o RunOpts) (Result, *telemetry.Output, audit.Report, error) {
-	if err := wl.Validate(); err != nil {
+// Run executes one simulation: it builds the machine, attaches the
+// workload's per-core generators and collects the Result. Telemetry and audit
+// are observers — neither changes one bit of the Result. The telemetry output
+// is nil unless req enables it; the Report carries any invariant violations
+// (Report.Err() is nil on a clean or unaudited run).
+func Run(req RunRequest) (Result, *telemetry.Output, audit.Report, error) {
+	if err := req.WL.Validate(); err != nil {
 		return Result{}, nil, audit.Report{}, err
 	}
-	m, err := machine.New(cfg, k)
+	m, err := machine.New(req.Cfg, req.Scheme)
 	if err != nil {
 		return Result{}, nil, audit.Report{}, err
 	}
-	if err := m.EnableTelemetry(o.Telemetry); err != nil {
+	if err := m.EnableTelemetry(req.Telemetry); err != nil {
 		return Result{}, nil, audit.Report{}, err
 	}
-	if err := m.EnableAuditor(o.Audit); err != nil {
+	if err := m.EnableAuditor(req.Audit); err != nil {
 		return Result{}, nil, audit.Report{}, err
 	}
 	am := m.AddressMap()
-	for h := 0; h < cfg.Hosts; h++ {
-		for c := 0; c < cfg.CoresPerHost; c++ {
-			m.SetTrace(h, c, wl.NewReader(am, cfg.Hosts, h, c, records, seed))
+	for h := 0; h < req.Cfg.Hosts; h++ {
+		for c := 0; c < req.Cfg.CoresPerHost; c++ {
+			m.SetTrace(h, c, req.WL.NewReader(am, req.Cfg.Hosts, h, c, req.Records, req.Seed))
 		}
 	}
 	if err := m.Run(); err != nil {
 		return Result{}, nil, audit.Report{}, err
 	}
+	return Collect(m, req.WL.Name), m.TelemetryOutput(), m.AuditReport(), nil
+}
+
+// Collect assembles the Result of a finished machine, labelled with the
+// given workload name. Every run is reported through it — generated runs by
+// Run, replayed traces by their caller — so both report the same metrics.
+func Collect(m *machine.Machine, workload string) Result {
+	cfg := m.Config()
 	col := m.Stats()
 	sharedPages := float64(cfg.SharedPages())
 	r := Result{
-		Workload:          wl.Name,
-		Scheme:            k,
+		Workload:          workload,
+		Scheme:            m.Scheme(),
 		ExecTime:          m.ExecTime(),
 		IPC:               m.IPC(),
 		Instructions:      col.Instructions(),
@@ -235,7 +212,7 @@ func RunOneOpts(cfg config.Config, wl workload.Params, k migration.Kind, records
 			r.LocalRemapHitRate = float64(hits) / float64(lookups)
 		}
 	}
-	return r, m.TelemetryOutput(), m.AuditReport(), nil
+	return r
 }
 
 // Speedup returns base execution time over r's (— >1 means r is faster).

@@ -24,7 +24,7 @@ func TestRunnerConcurrentSweepSharing(t *testing.T) {
 	o := QuickOptions()
 	o.RecordsPerCore = 3_000
 	var completions atomic.Int64
-	r := NewRunnerOpts(Options{
+	r := NewRunner(Options{
 		Workers:   4,
 		Store:     st,
 		OnRunDone: func(RunStats) { completions.Add(1) },
@@ -93,7 +93,7 @@ func TestRunnerConcurrentSweepSharing(t *testing.T) {
 
 	// A second runner on the same store answers everything from disk.
 	var warm atomic.Int64
-	r2 := NewRunnerOpts(Options{Workers: 4, Store: st,
+	r2 := NewRunner(Options{Workers: 4, Store: st,
 		OnRunDone: func(s RunStats) {
 			if s.StoreHit {
 				warm.Add(1)
@@ -114,7 +114,7 @@ func TestRunnerConcurrentSweepSharing(t *testing.T) {
 // claimable afterwards, and in-flight work is unaffected.
 func TestRunnerGetCtxCancellation(t *testing.T) {
 	o := QuickOptions()
-	r := NewRunnerOpts(Options{Workers: 1})
+	r := NewRunner(Options{Workers: 1})
 
 	slow := RunRequest{Cfg: o.Cfg, WL: o.Workloads[0], Scheme: migration.PIPM,
 		Records: 400_000, Seed: o.Seed}
@@ -175,7 +175,7 @@ func TestRunnerGetCtxCancellation(t *testing.T) {
 // owner or the result.
 func TestRunnerGetCtxWaiterCancellation(t *testing.T) {
 	o := QuickOptions()
-	r := NewRunnerOpts(Options{Workers: 1})
+	r := NewRunner(Options{Workers: 1})
 	req := RunRequest{Cfg: o.Cfg, WL: o.Workloads[0], Scheme: migration.PIPM,
 		Records: 400_000, Seed: o.Seed}
 

@@ -36,8 +36,8 @@ func TestClusterScaleAuditedSmoke(t *testing.T) {
 		t.Run(fmt.Sprintf("%dhosts-%v", tc.hosts, tc.k), func(t *testing.T) {
 			t.Parallel()
 			cfg := ScaleForHosts(o.Cfg, tc.hosts)
-			_, _, rep, err := RunOneOpts(cfg, wl, tc.k, tc.records, o.Seed,
-				RunOpts{Audit: audit.Options{Mode: audit.Paranoid}})
+			_, _, rep, err := Run(RunRequest{Cfg: cfg, WL: wl, Scheme: tc.k, Records: tc.records,
+				Seed: o.Seed, Audit: audit.Options{Mode: audit.Paranoid}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -44,8 +44,8 @@ func fuzzRun(t *testing.T, wl workload.Params, heapSel uint8, seed int64) {
 	cfg.Hosts = 2
 	cfg.SharedBytes = fuzzHeap(heapSel, cfg.Hosts)
 	const records = 1200
-	res, _, rep, err := RunOneOpts(cfg, wl, migration.PIPM, records, seed,
-		RunOpts{Audit: audit.Options{Mode: audit.Quantum}})
+	res, _, rep, err := Run(RunRequest{Cfg: cfg, WL: wl, Scheme: migration.PIPM, Records: records,
+		Seed: seed, Audit: audit.Options{Mode: audit.Quantum}})
 	if err != nil {
 		t.Fatalf("run failed on validated params %+v: %v", wl, err)
 	}

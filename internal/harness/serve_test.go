@@ -33,8 +33,8 @@ func TestServeAuditedSmoke(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-%dhosts", name, tc.hosts), func(t *testing.T) {
 				t.Parallel()
 				cfg := ScaleForHosts(o.Cfg, tc.hosts)
-				_, _, rep, err := RunOneOpts(cfg, wl, migration.PIPM, tc.records, o.Seed,
-					RunOpts{Audit: audit.Options{Mode: audit.Paranoid}})
+				_, _, rep, err := Run(RunRequest{Cfg: cfg, WL: wl, Scheme: migration.PIPM, Records: tc.records,
+					Seed: o.Seed, Audit: audit.Options{Mode: audit.Paranoid}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -280,7 +280,7 @@ func TestRunnerStoreSharing(t *testing.T) {
 	req := RunRequest{Cfg: o.Cfg, WL: wl, Scheme: migration.PIPM,
 		Records: o.RecordsPerCore, Seed: o.Seed, Telemetry: o.Telemetry}
 
-	r1 := NewRunnerOpts(o)
+	r1 := NewRunner(o)
 	res1, err := r1.Get(req)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestRunnerStoreSharing(t *testing.T) {
 
 	o2 := storeTestOptions(t, dir)
 	o2.Telemetry = o.Telemetry
-	r2 := NewRunnerOpts(o2)
+	r2 := NewRunner(o2)
 	res2, err := r2.Get(req)
 	if err != nil {
 		t.Fatal(err)

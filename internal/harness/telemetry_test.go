@@ -26,11 +26,13 @@ func telemetryTestOptions() Options {
 func TestTelemetryResultInvariance(t *testing.T) {
 	o := telemetryTestOptions()
 	wl := o.Workloads[0]
-	plain, err := RunOne(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed)
+	req := o.Request(wl, migration.PIPM)
+	req.Telemetry = telemetry.Options{}
+	plain, _, _, err := Run(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	instrumented, tout, err := RunOneT(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed, o.Telemetry)
+	instrumented, tout, _, err := Run(o.Request(wl, migration.PIPM))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ type jobRun struct {
 // subscribers.
 type Job struct {
 	ID      string
-	Spec    SweepSpec
+	Spec    harness.SweepSpec
 	Created time.Time
 
 	ctx    context.Context
@@ -185,17 +185,17 @@ type RunStatus struct {
 
 // JobStatus is the wire form of GET /v1/sweeps/{id}.
 type JobStatus struct {
-	ID        string      `json:"id"`
-	State     JobState    `json:"state"`
-	Created   time.Time   `json:"created"`
-	Finished  *time.Time  `json:"finished,omitempty"`
-	Total     int         `json:"total"`
-	Done      int         `json:"done"`
-	Failed    int         `json:"failed,omitempty"`
-	Cancelled int         `json:"cancelled,omitempty"`
-	Error     string      `json:"error,omitempty"`
-	Spec      *SweepSpec  `json:"spec,omitempty"`
-	Runs      []RunStatus `json:"runs,omitempty"`
+	ID        string             `json:"id"`
+	State     JobState           `json:"state"`
+	Created   time.Time          `json:"created"`
+	Finished  *time.Time         `json:"finished,omitempty"`
+	Total     int                `json:"total"`
+	Done      int                `json:"done"`
+	Failed    int                `json:"failed,omitempty"`
+	Cancelled int                `json:"cancelled,omitempty"`
+	Error     string             `json:"error,omitempty"`
+	Spec      *harness.SweepSpec `json:"spec,omitempty"`
+	Runs      []RunStatus        `json:"runs,omitempty"`
 }
 
 // Status snapshots the job. withRuns includes the per-run list (and the
@@ -295,7 +295,7 @@ func (m *Manager) Runner() *harness.Runner { return m.runner }
 // Submit registers the expanded sweep as a job and schedules it. Identical
 // sweeps — same content-addressed ID — dedupe onto the existing job at any
 // point in its lifecycle; created reports whether this call made a new one.
-func (m *Manager) Submit(spec SweepSpec, id string, runs []SweepRun) (j *Job, created bool, err error) {
+func (m *Manager) Submit(spec harness.SweepSpec, id string, runs []SweepRun) (j *Job, created bool, err error) {
 	m.mu.Lock()
 	if existing, ok := m.jobs[id]; ok {
 		m.touchLocked(id)

@@ -72,7 +72,7 @@ func New(cfg Config) *Service {
 	if cfg.Store != nil {
 		cfg.Store.RegisterGauges(reg)
 	}
-	runner := harness.NewRunnerOpts(harness.Options{
+	runner := harness.NewRunner(harness.Options{
 		Workers:   cfg.Workers,
 		Progress:  cfg.Progress,
 		Store:     cfg.Store,
@@ -225,7 +225,7 @@ type SubmitResponse struct {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec SweepSpec
+	var spec harness.SweepSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
@@ -456,25 +456,30 @@ func (s *Service) handleSchemes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// WorkloadInfo is the wire form of one Table 1 catalog entry.
+// WorkloadInfo is the wire form of one registered workload: a Table 1
+// catalog entry or a production-service generator.
 type WorkloadInfo struct {
 	Name           string  `json:"name"`
 	Suite          string  `json:"suite"`
 	FootprintBytes int64   `json:"footprint_bytes"`
 	SharedFrac     float64 `json:"shared_frac"`
 	WriteFrac      float64 `json:"write_frac"`
+	// Mechanistic marks a generator that derives its mix from a simulated
+	// serving/filesystem loop; SharedFrac and WriteFrac do not apply.
+	Mechanistic bool `json:"mechanistic,omitempty"`
 }
 
 func (s *Service) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	cat := workload.Catalog()
-	out := make([]WorkloadInfo, len(cat))
-	for i, wl := range cat {
+	all := workload.All()
+	out := make([]WorkloadInfo, len(all))
+	for i, wl := range all {
 		out[i] = WorkloadInfo{
 			Name:           wl.Name,
 			Suite:          wl.Suite,
 			FootprintBytes: wl.Footprint,
 			SharedFrac:     wl.SharedFrac,
 			WriteFrac:      wl.WriteFrac,
+			Mechanistic:    wl.Mechanistic(),
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -19,8 +20,8 @@ import (
 )
 
 // tinySpec is the smallest meaningful sweep: one quick workload, two schemes.
-func tinySpec() SweepSpec {
-	return SweepSpec{
+func tinySpec() harness.SweepSpec {
+	return harness.SweepSpec{
 		Quick:     true,
 		Workloads: []string{"pr"},
 		Schemes:   []string{"native", "pipm"},
@@ -41,7 +42,7 @@ func newTestService(t *testing.T, withStore bool) *Service {
 	return New(cfg)
 }
 
-func submit(t *testing.T, srv *httptest.Server, spec SweepSpec) (SubmitResponse, int) {
+func submit(t *testing.T, srv *httptest.Server, spec harness.SweepSpec) (SubmitResponse, int) {
 	t.Helper()
 	body, _ := json.Marshal(spec)
 	resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
@@ -176,8 +177,15 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 	var wls []WorkloadInfo
 	getJSON(t, srv, "/v1/workloads", &wls)
-	if len(wls) != len(workload.Catalog()) {
-		t.Fatalf("workloads: %d entries, want %d", len(wls), len(workload.Catalog()))
+	var names []string
+	for _, wl := range wls {
+		names = append(names, wl.Name)
+		if p, _ := workload.ByName(wl.Name); wl.Mechanistic != p.Mechanistic() {
+			t.Errorf("workload %s: mechanistic=%v, want %v", wl.Name, wl.Mechanistic, p.Mechanistic())
+		}
+	}
+	if want := workload.Names(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("workloads: listed %v, want every registered workload %v", names, want)
 	}
 
 	// Metrics include the simulation count and the store gauges.
@@ -461,8 +469,9 @@ func TestServiceTimeseriesAndTrace(t *testing.T) {
 	}
 }
 
-// TestExpand covers the spec-resolution corners: aliasing, unknown names,
-// zero-run and over-budget rejection, and ID stability under reordering.
+// TestExpand covers the expansion corners: aliasing, resolver errors
+// surfacing (harness.TestResolve pins each one), zero-run and over-budget
+// rejection, and ID stability under reordering.
 func TestExpand(t *testing.T) {
 	spec := tinySpec()
 	runs, id, err := Expand(spec, 0)
@@ -489,7 +498,7 @@ func TestExpand(t *testing.T) {
 		t.Fatalf("Expand all: %v, %d runs, want %d", err, len(runsAll), len(migration.Kinds))
 	}
 
-	for _, bad := range []SweepSpec{
+	for _, bad := range []harness.SweepSpec{
 		{Quick: true, Workloads: []string{"no-such-workload"}},
 		{Quick: true, Schemes: []string{"no-such-scheme"}},
 		{Quick: true, SampleInterval: "banana"},
@@ -499,7 +508,7 @@ func TestExpand(t *testing.T) {
 			t.Fatalf("Expand(%+v) accepted a bad spec", bad)
 		}
 	}
-	if _, _, err := Expand(SweepSpec{Quick: true}, 2); err == nil {
+	if _, _, err := Expand(harness.SweepSpec{Quick: true}, 2); err == nil {
 		t.Fatalf("Expand accepted a sweep over the run limit")
 	}
 }
@@ -513,17 +522,17 @@ func TestExpandShapeOverrides(t *testing.T) {
 	base := harness.QuickOptions()
 	for _, tc := range []struct {
 		name    string
-		spec    SweepSpec
+		spec    harness.SweepSpec
 		hosts   int // host count of the offline machine the keys must match
 		wantErr bool
 	}{
-		{name: "default", spec: SweepSpec{Quick: true}, hosts: base.Cfg.Hosts},
-		{name: "hosts=4", spec: SweepSpec{Quick: true, Hosts: 4}, hosts: 4},
-		{name: "hosts=64", spec: SweepSpec{Quick: true, Hosts: 64}, hosts: 64},
-		{name: "records=-5", spec: SweepSpec{Quick: true, Records: -5}, wantErr: true},
-		{name: "hosts=-1", spec: SweepSpec{Quick: true, Hosts: -1}, wantErr: true},
-		{name: "cores=-1", spec: SweepSpec{Quick: true, Cores: -1}, wantErr: true},
-		{name: "shared_mib=-1", spec: SweepSpec{Quick: true, SharedMiB: -1}, wantErr: true},
+		{name: "default", spec: harness.SweepSpec{Quick: true}, hosts: base.Cfg.Hosts},
+		{name: "hosts=4", spec: harness.SweepSpec{Quick: true, Hosts: 4}, hosts: 4},
+		{name: "hosts=64", spec: harness.SweepSpec{Quick: true, Hosts: 64}, hosts: 64},
+		{name: "records=-5", spec: harness.SweepSpec{Quick: true, Records: -5}, wantErr: true},
+		{name: "hosts=-1", spec: harness.SweepSpec{Quick: true, Hosts: -1}, wantErr: true},
+		{name: "cores=-1", spec: harness.SweepSpec{Quick: true, Cores: -1}, wantErr: true},
+		{name: "shared_mib=-1", spec: harness.SweepSpec{Quick: true, SharedMiB: -1}, wantErr: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runs, _, err := Expand(tc.spec, 0)
@@ -563,8 +572,8 @@ func TestJobTableEviction(t *testing.T) {
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	spec := func(records int64) SweepSpec {
-		return SweepSpec{Quick: true, Workloads: []string{"pr"},
+	spec := func(records int64) harness.SweepSpec {
+		return harness.SweepSpec{Quick: true, Workloads: []string{"pr"},
 			Schemes: []string{"native"}, Records: records}
 	}
 	sub1, _ := submit(t, srv, spec(2000))

@@ -33,11 +33,12 @@ var Relations = []Relation{
 			wl := o.Workloads[0]
 			k := firstScheme(c, migration.PIPM)
 			// Deliberately bypasses the memo: both runs must simulate.
-			a, err := harness.RunOne(o.Cfg, wl, k, o.RecordsPerCore, o.Seed)
+			req := harness.RunRequest{Cfg: o.Cfg, WL: wl, Scheme: k, Records: o.RecordsPerCore, Seed: o.Seed}
+			a, _, _, err := harness.Run(req)
 			if err != nil {
 				return "", infra(err)
 			}
-			b, err := harness.RunOne(o.Cfg, wl, k, o.RecordsPerCore, o.Seed)
+			b, _, _, err := harness.Run(req)
 			if err != nil {
 				return "", infra(err)
 			}

@@ -32,27 +32,15 @@ const Schema = "pipm-validate/v1"
 // Options configures a validation pass.
 type Options struct {
 	// Harness carries the base configuration, workload set, per-core record
-	// budget, first seed, worker bound and progress sink.
+	// budget, first seed, worker bound and progress sink. Its Audit options
+	// configure the invariant auditor of the audited sweep (phase 1) alone;
+	// zero disables that phase.
 	Harness harness.Options
 	// Schemes restricts the sweep; nil means every registered scheme.
 	Schemes []migration.Kind
 	// Seeds is the replication width: each (scheme, workload) runs at seeds
 	// Harness.Seed .. Harness.Seed+Seeds-1. Needs ≥ 2 for error bars.
 	Seeds int
-	// Audit configures the invariant auditor attached to the audited sweep
-	// (phase 1). Zero disables that phase.
-	Audit audit.Options
-}
-
-// Quick returns the CI-tier configuration: the harness quick sweep (all
-// registered schemes × pr/canneal/ycsb) with a per-quantum auditor, the full
-// relation registry, and 5-seed replication.
-func Quick() Options {
-	return Options{
-		Harness: harness.QuickOptions(),
-		Seeds:   5,
-		Audit:   audit.Options{Mode: audit.Quantum}.WithDefaults(),
-	}
 }
 
 func (o Options) schemes() []migration.Kind {
@@ -192,10 +180,10 @@ func Run(o Options) (*Report, error) {
 	if o.Seeds < 1 {
 		o.Seeds = 1
 	}
-	ctx := &Ctx{Opt: o, runner: harness.NewRunnerOpts(o.Harness)}
+	ctx := &Ctx{Opt: o, runner: harness.NewRunner(o.Harness)}
 	rep := &Report{Schema: Schema}
 
-	if o.Audit.Enabled() {
+	if o.Harness.Audit.Enabled() {
 		runAuditPhase(ctx, rep)
 	}
 
@@ -215,7 +203,7 @@ func Run(o Options) (*Report, error) {
 // auditor attached. A violation (or any run error) becomes a failure line.
 func runAuditPhase(ctx *Ctx, rep *Report) {
 	o := ctx.Opt
-	rep.Audit.Mode = o.Audit.Mode.String()
+	rep.Audit.Mode = o.Harness.Audit.Mode.String()
 	type outcome struct {
 		label  string
 		report audit.Report
@@ -228,7 +216,7 @@ func runAuditPhase(ctx *Ctx, rep *Report) {
 			reqs = append(reqs, harness.RunRequest{
 				Cfg: o.Harness.Cfg, WL: wl, Scheme: k,
 				Records: o.Harness.RecordsPerCore, Seed: o.Harness.Seed,
-				Audit: o.Audit,
+				Audit: o.Harness.Audit,
 			})
 			labels = append(labels, wl.Name+"/"+k.String())
 		}

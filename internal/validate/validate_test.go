@@ -10,13 +10,13 @@ import (
 	"pipm/internal/harness"
 )
 
-// smallOptions shrinks the quick tier far enough for a unit test: one
-// workload, a reduced record budget, two seeds.
+// smallOptions shrinks the quick tier (validate -quick) far enough for a
+// unit test: one workload, a reduced record budget, two seeds.
 func smallOptions() Options {
-	o := Quick()
+	o := Options{Harness: harness.QuickOptions(), Seeds: 2}
+	o.Harness.Audit = audit.Options{Mode: audit.Quantum}
 	o.Harness.RecordsPerCore = 10_000
 	o.Harness.Workloads = o.Harness.Workloads[:1]
-	o.Seeds = 2
 	return o
 }
 
@@ -125,8 +125,8 @@ func TestRunnerMemoSharing(t *testing.T) {
 		t.Skip("multi-run validation pass")
 	}
 	o := smallOptions()
-	o.Audit = audit.Options{} // isolate the unaudited phases
-	ctx := &Ctx{Opt: o, runner: harness.NewRunner(0, nil)}
+	o.Harness.Audit = audit.Options{} // isolate the unaudited phases
+	ctx := &Ctx{Opt: o, runner: harness.NewRunner(harness.Options{})}
 	rows, err := runReplication(ctx)
 	if err != nil {
 		t.Fatal(err)

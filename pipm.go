@@ -118,7 +118,8 @@ type Result = harness.Result
 // Run executes a single simulation: cfg and scheme define the machine, wl
 // generates records per-core traces seeded by seed.
 func Run(cfg Config, wl Workload, s Scheme, records, seed int64) (Result, error) {
-	return harness.RunOne(cfg, wl, s, records, seed)
+	r, _, _, err := harness.Run(harness.RunRequest{Cfg: cfg, WL: wl, Scheme: s, Records: records, Seed: seed})
+	return r, err
 }
 
 // TelemetryOptions configures the sim-time observability subsystem: a
@@ -130,30 +131,6 @@ type TelemetryOptions = telemetry.Options
 // TelemetryOutput is one run's collected telemetry: the sampled time-series,
 // final latency histograms, and the protocol event trace.
 type TelemetryOutput = telemetry.Output
-
-// RunWithTelemetry is Run plus telemetry collection. The returned output is
-// nil when topt is disabled; telemetry never changes the Result.
-func RunWithTelemetry(cfg Config, wl Workload, s Scheme, records, seed int64,
-	topt TelemetryOptions) (Result, *TelemetryOutput, error) {
-	return harness.RunOneT(cfg, wl, s, records, seed, topt)
-}
-
-// RunOptions bundles the optional per-run subsystems: telemetry collection
-// and the runtime invariant auditor. Each field's zero value disables its
-// subsystem.
-type RunOptions = harness.RunOpts
-
-// RunWithOptions is Run with any combination of optional subsystems
-// attached. The returned telemetry is nil when telemetry is disabled; an
-// enabled auditor fails the run on any invariant violation.
-func RunWithOptions(cfg Config, wl Workload, s Scheme, records, seed int64,
-	o RunOptions) (Result, *TelemetryOutput, error) {
-	r, tout, rep, err := harness.RunOneOpts(cfg, wl, s, records, seed, o)
-	if err == nil {
-		err = rep.Err()
-	}
-	return r, tout, err
-}
 
 // Speedup returns base's execution time over r's (>1 ⇒ r is faster).
 func Speedup(r, base Result) float64 { return harness.Speedup(r, base) }
@@ -244,7 +221,7 @@ type RunRequest = harness.RunRequest
 
 // NewRunner builds a Runner from a SuiteOptions (Workers, Progress and Store
 // are honoured; the sweep-shaping fields are ignored).
-func NewRunner(o SuiteOptions) *Runner { return harness.NewRunnerOpts(o) }
+func NewRunner(o SuiteOptions) *Runner { return harness.NewRunner(o) }
 
 // Table is a rendered experiment artefact.
 type Table = harness.Table
