@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -15,6 +17,7 @@ import (
 	"testing"
 
 	"pipm/internal/audit"
+	"pipm/internal/check"
 	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/telemetry"
@@ -29,7 +32,7 @@ import (
 // pass. Regenerate "keys" only for a deliberate key-schema change, and say
 // so in the commit message: old stores become cold. See DESIGN.md §11.
 var updateGolden = flag.String("update-golden", "",
-	"rewrite the named golden tier's fixture from the current code: quick, scale, serve, keys, tables or all")
+	"rewrite the named golden tier's fixture from the current code: quick, scale, serve, keys, artefacts, tables or all")
 
 // updating reports whether -update-golden names tier, and fails the test
 // on a tier name nothing would regenerate.
@@ -124,6 +127,12 @@ var goldenTiers = func() []goldenTier {
 		// simulation runs, so the tier is fast enough for -short.
 		{name: "keys", file: "golden_keys.json", sweep: keysSweep,
 			header: goldenFile{Schema: "pipm-keys/v1"}},
+		// artefacts: the SHA-256 of every artefact's rendered text at the
+		// quick configuration, a small budget and a short host ladder. The
+		// digest tiers pin the Results; this one pins the figure math that
+		// turns them into tables.
+		{name: "artefacts", file: "golden_artefacts.json", slow: true, sweep: artefactsSweep,
+			header: goldenFile{Schema: "pipm-golden-artefacts/v1", RecordsPerCore: artefactRecords, Seed: o.Seed}},
 	}
 }()
 
@@ -247,6 +256,71 @@ func digestSweep(t *testing.T, labels []goldenEntry, reqs []RunRequest) []golden
 		}
 	}
 	return entries
+}
+
+// artefactRecords and artefactHosts are the artefacts tier's record budget
+// and cluster-size ladder: small enough to render every artefact in seconds.
+const artefactRecords = 3000
+
+var artefactHosts = []int{4, 16}
+
+// artefactsSweep renders every artefact on one quick-configuration suite
+// and digests each one's text.
+func artefactsSweep(t *testing.T) []goldenEntry {
+	o := QuickOptions()
+	o.RecordsPerCore = artefactRecords
+	s := NewSuite(o)
+	one := func(f func() (Table, error)) func() ([]Table, error) {
+		return func() ([]Table, error) {
+			tb, err := f()
+			return []Table{tb}, err
+		}
+	}
+	figs := []struct {
+		id string
+		f  func() ([]Table, error)
+	}{
+		{"fig4", s.Fig4}, {"fig5", one(s.Fig5)}, {"fig10", one(s.Fig10)}, {"fig11", one(s.Fig11)},
+		{"fig12", one(s.Fig12)}, {"fig13", one(s.Fig13)}, {"fig14", one(s.Fig14)}, {"fig15", one(s.Fig15)},
+		{"fig16", one(s.Fig16)}, {"fig17", one(s.Fig17)},
+		{"scalability", one(func() (Table, error) { return s.Scalability(nil) })},
+		{"clusterscale", func() ([]Table, error) { return s.ClusterScale(artefactHosts) }},
+		{"serve", func() ([]Table, error) { return s.ServeComparison(artefactHosts) }},
+		{"threshold", one(func() (Table, error) { return s.ThresholdSensitivity(nil) })},
+		{"adaptivity", one(s.Adaptivity)},
+	}
+	digest := func(text string) string {
+		sum := sha256.Sum256([]byte(text))
+		return hex.EncodeToString(sum[:])
+	}
+	out := []goldenEntry{{Name: "table1", Digest: digest(Table1())}, {Name: "table2", Digest: digest(Table2(o.Cfg))}}
+	for _, f := range figs {
+		tabs, err := f.f()
+		if err != nil {
+			t.Fatalf("%s: %v", f.id, err)
+		}
+		var b strings.Builder
+		for _, tb := range tabs {
+			b.WriteString(tb.Format())
+		}
+		out = append(out, goldenEntry{Name: f.id, Digest: digest(b.String())})
+	}
+	var b strings.Builder
+	for _, hosts := range []int{2, 3} {
+		for _, ext := range []bool{false, true} {
+			name := "MSI"
+			if ext {
+				name = "MSI+PIPM"
+			}
+			res, v := check.Run(check.Options{Hosts: hosts, Lines: 1, PIPM: ext, Workers: 1})
+			if v != nil {
+				t.Fatal(v)
+			}
+			fmt.Fprintf(&b, "%-9s %d hosts: %d states, %d transitions, SWMR+SC hold, deadlock-free\n",
+				name, hosts, res.States, res.Transitions)
+		}
+	}
+	return append(out, goldenEntry{Name: "protocheck", Digest: digest(b.String())})
 }
 
 // quickSweep is every registered scheme × every QuickOptions workload,
