@@ -18,7 +18,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -28,6 +27,8 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -35,12 +36,6 @@ import (
 	"pipm"
 	"pipm/internal/harness"
 )
-
-var order = []string{
-	"table1", "table2", "fig4", "fig5", "fig10", "fig11", "fig12",
-	"fig13", "fig14", "fig15", "fig16", "fig17", "scalability",
-	"clusterscale", "serve", "threshold", "adaptivity", "protocheck",
-}
 
 // stderr serialises every diagnostic writer — the engine's progress lines
 // (written from worker goroutines while holding the engine lock), the
@@ -63,9 +58,9 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 type invocation struct {
 	list func(io.Writer) // -list-schemes or -list-workloads: print and exit
 
-	ids          []string        // requested artefacts, in presentation order
-	opt          harness.Options // resolved sweep options, Store unset
-	clusterHosts []int           // parsed -hosts ladder; empty = the default
+	arts         []harness.Artefact // requested artefacts, in presentation order
+	opt          harness.Options    // resolved sweep options, Store unset
+	clusterHosts []int              // parsed -hosts ladder; empty = the default
 
 	quick                                     bool
 	jsonPath, tsPath, trPath, storeDir, pprof string
@@ -75,7 +70,7 @@ type invocation struct {
 // it, together with the artefact list and the clusterscale host ladder.
 func parseArgs(fs *flag.FlagSet, args []string) (*invocation, error) {
 	var (
-		exps      = fs.String("exp", "all", "comma-separated artefacts: "+strings.Join(order, ", ")+", or all")
+		exps      = fs.String("exp", "all", "comma-separated artefacts: "+artefactIDs()+", or all")
 		records   = fs.Int64("records", 0, "override trace records per core (0 = configuration default)")
 		workloads = fs.String("workloads", "", "comma-separated workload subset (default: full catalog)")
 		quick     = fs.Bool("quick", false, "use the small quick configuration")
@@ -109,7 +104,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (*invocation, error) {
 	// Reject unknown artefact names before the first simulation runs: a typo
 	// in a comma list must fail immediately, not after minutes of sweeps.
 	var err error
-	if inv.ids, err = selectArtefacts(*exps); err != nil {
+	if inv.arts, err = selectArtefacts(*exps); err != nil {
 		return nil, err
 	}
 
@@ -117,8 +112,8 @@ func parseArgs(fs *flag.FlagSet, args []string) (*invocation, error) {
 	// count must fail before any sweep starts.
 	if *hosts != "" {
 		for _, f := range strings.Split(*hosts, ",") {
-			var h int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &h); err != nil || h < 1 || h > pipm.MaxHosts {
+			h, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil || h < 1 || h > pipm.MaxHosts {
 				return nil, fmt.Errorf("-hosts: %q is not a host count in 1..%d", f, pipm.MaxHosts)
 			}
 			inv.clusterHosts = append(inv.clusterHosts, h)
@@ -191,15 +186,15 @@ func main() {
 	// singleflight keep shared runs deduplicated — but buffer each one and
 	// print in presentation order, so stdout is deterministic.
 	wallStart := time.Now()
-	arts := make([]*artefact, len(inv.ids))
+	arts := make([]*artefact, len(inv.arts))
 	var wg sync.WaitGroup
-	for i, id := range inv.ids {
-		arts[i] = &artefact{id: id}
+	for i, art := range inv.arts {
+		arts[i] = &artefact{id: art.ID}
 		wg.Add(1)
 		go func(a *artefact) {
 			defer wg.Done()
 			start := time.Now()
-			a.err = run(&a.out, suite, inv, a.id)
+			a.out, a.err = art.Render(suite, inv.clusterHosts)
 			a.wall = time.Since(start)
 		}(arts[i])
 	}
@@ -210,8 +205,7 @@ func main() {
 			failed = a
 			break
 		}
-		os.Stdout.Write(a.out.Bytes())
-		fmt.Println()
+		fmt.Println(a.out)
 		fmt.Fprintf(stderr, "[%s done in %v]\n", a.id, a.wall.Round(time.Millisecond))
 	}
 
@@ -250,41 +244,41 @@ func main() {
 	}
 }
 
-// artefact is one requested experiment: its id, buffered stdout content,
+// artefact is one requested experiment: its id, rendered stdout content,
 // wall-clock cost and error.
 type artefact struct {
 	id   string
-	out  bytes.Buffer
+	out  string
 	wall time.Duration
 	err  error
 }
 
-// selectArtefacts resolves the -exp flag against the known artefact order,
-// returning the requested ids in presentation order or an error naming the
-// first unknown id.
-func selectArtefacts(exps string) ([]string, error) {
-	known := map[string]bool{}
-	for _, id := range order {
-		known[id] = true
+// artefactIDs lists the artefact table's ids in presentation order.
+func artefactIDs() string {
+	var ids []string
+	for _, a := range harness.Artefacts() {
+		ids = append(ids, a.ID)
 	}
+	return strings.Join(ids, ", ")
+}
+
+// selectArtefacts resolves the -exp flag against the artefact table,
+// returning the requested artefacts in presentation order or an error
+// naming the first unknown id.
+func selectArtefacts(exps string) ([]harness.Artefact, error) {
+	all := harness.Artefacts()
 	if exps == "all" {
-		return order, nil
+		return all, nil
 	}
 	want := map[string]bool{}
 	for _, id := range strings.Split(exps, ",") {
 		id = strings.TrimSpace(id)
-		if !known[id] {
-			return nil, fmt.Errorf("unknown experiment %q (have: %s)", id, strings.Join(order, ", "))
+		if !slices.ContainsFunc(all, func(a harness.Artefact) bool { return a.ID == id }) {
+			return nil, fmt.Errorf("unknown experiment %q (have: %s)", id, artefactIDs())
 		}
 		want[id] = true
 	}
-	var ids []string
-	for _, id := range order {
-		if want[id] {
-			ids = append(ids, id)
-		}
-	}
-	return ids, nil
+	return slices.DeleteFunc(all, func(a harness.Artefact) bool { return !want[a.ID] }), nil
 }
 
 // benchReport is the -json schema: enough to track the perf trajectory of
@@ -354,92 +348,6 @@ func writeBench(path string, s *pipm.Suite, opt pipm.SuiteOptions,
 		return err
 	}
 	return pipm.WriteFileAtomic(path, append(data, '\n'))
-}
-
-func run(w io.Writer, s *pipm.Suite, inv *invocation, id string) error {
-	printT := func(t pipm.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, t.Format())
-		return nil
-	}
-	switch id {
-	case "table1":
-		fmt.Fprint(w, pipm.Table1())
-		return nil
-	case "table2":
-		fmt.Fprint(w, pipm.Table2(inv.opt.Cfg))
-		return nil
-	case "fig4":
-		tabs, err := s.Fig4()
-		if err != nil {
-			return err
-		}
-		for _, t := range tabs {
-			fmt.Fprint(w, t.Format())
-		}
-		return nil
-	case "fig5":
-		return printT(s.Fig5())
-	case "fig10":
-		return printT(s.Fig10())
-	case "fig11":
-		return printT(s.Fig11())
-	case "fig12":
-		return printT(s.Fig12())
-	case "fig13":
-		return printT(s.Fig13())
-	case "fig14":
-		return printT(s.Fig14())
-	case "fig15":
-		return printT(s.Fig15())
-	case "fig16":
-		return printT(s.Fig16())
-	case "fig17":
-		return printT(s.Fig17())
-	case "scalability":
-		return printT(s.Scalability(nil))
-	case "clusterscale":
-		tabs, err := s.ClusterScale(inv.clusterHosts)
-		if err != nil {
-			return err
-		}
-		for _, t := range tabs {
-			fmt.Fprint(w, t.Format())
-		}
-		return nil
-	case "serve":
-		tabs, err := s.ServeComparison(inv.clusterHosts)
-		if err != nil {
-			return err
-		}
-		for _, t := range tabs {
-			fmt.Fprint(w, t.Format())
-		}
-		return nil
-	case "threshold":
-		return printT(s.ThresholdSensitivity(nil))
-	case "adaptivity":
-		return printT(s.Adaptivity())
-	case "protocheck":
-		for _, hosts := range []int{2, 3} {
-			for _, ext := range []bool{false, true} {
-				name := "MSI"
-				if ext {
-					name = "MSI+PIPM"
-				}
-				res, v := pipm.VerifyCoherence(hosts, ext)
-				if v != nil {
-					return fmt.Errorf("%s/%d hosts: %v", name, hosts, v)
-				}
-				fmt.Fprintf(w, "%-9s %d hosts: %d states, %d transitions, SWMR+SC hold, deadlock-free\n",
-					name, hosts, res.States, res.Transitions)
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown experiment %q", id)
 }
 
 func fatal(err error) {

@@ -48,6 +48,8 @@ func TestParseArgs(t *testing.T) {
 		{"-quick -timeseries ts.json -sample-interval 1.5us", "39d27bf5704980c07b7a3a0571d3fa60"},
 		{"-quick -records 6000 -exp fig4,fig5,fig10 -parallel 1", quick6000},
 		{"-quick -records 6000 -exp fig4,fig5,fig10 -parallel 4 -json BENCH_smoke.json", quick6000},
+		{"-quick -records 6000 -exp all -hosts 4,16 -parallel 1", quick6000},
+		{"-quick -records 6000 -exp all -hosts 4,16 -parallel 4 -json BENCH_smoke.json", quick6000},
 		{"-quick -records 6000 -exp fig5,fig10 -store RESULTS -json BENCH_store1.json", quick6000},
 		{"-quick -records 6000 -exp fig10 -store OFFLINE", quick6000},
 		{"-quick -records 6000 -exp clusterscale -hosts 4,16,64", quick6000},
@@ -59,9 +61,11 @@ func TestParseArgs(t *testing.T) {
 		{"-list-workloads -exp nope", ""},
 
 		{"-records -5", "error: records_per_core must be ≥ 0 (0 = base default), got -5"},
-		{"-exp nope", `error: unknown experiment "nope" (have: ` + strings.Join(order, ", ") + ")"},
+		{"-exp nope", `error: unknown experiment "nope" (have: ` + artefactIDs() + ")"},
 		{"-hosts 0", `error: -hosts: "0" is not a host count in 1..256`},
 		{"-hosts 4,x", `error: -hosts: "x" is not a host count in 1..256`},
+		{"-hosts 4x,16", `error: -hosts: "4x" is not a host count in 1..256`},
+		{"-hosts 16.5", `error: -hosts: "16.5" is not a host count in 1..256`},
 		{"-workloads nope", `error: workload: unknown workload "nope"`},
 		{"-workloads pr,", `error: workload: unknown workload ""`},
 		{"-quick -timeseries ts.json -sample-interval 0s", `error: sample_interval must be positive, got "0s"`},

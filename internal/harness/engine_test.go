@@ -8,60 +8,32 @@ import (
 	"pipm/internal/migration"
 )
 
-// renderArtefacts builds a deterministic set of figures — concurrently, to
-// exercise cross-builder singleflight — and concatenates their rendered
-// tables in presentation order.
-func renderArtefacts(t *testing.T, s *Suite) string {
+// renderArtefacts renders every artefact in the Artefacts table on s —
+// concurrently, to exercise cross-builder singleflight — and returns their
+// texts in presentation order. hosts is the cluster-size ladder.
+func renderArtefacts(t *testing.T, s *Suite, hosts []int) []string {
 	t.Helper()
-	type job struct {
-		name string
-		run  func() (string, error)
-	}
-	one := func(f func() (Table, error)) func() (string, error) {
-		return func() (string, error) {
-			tab, err := f()
-			if err != nil {
-				return "", err
-			}
-			return tab.Format(), nil
-		}
-	}
-	jobs := []job{
-		{"fig4", func() (string, error) {
-			tabs, err := s.Fig4()
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			for _, tab := range tabs {
-				b.WriteString(tab.Format())
-			}
-			return b.String(), nil
-		}},
-		{"fig5", one(s.Fig5)},
-		{"fig10", one(s.Fig10)},
-		{"fig13", one(s.Fig13)},
-	}
-	outs := make([]string, len(jobs))
-	errs := make([]error, len(jobs))
+	arts := Artefacts()
+	outs := make([]string, len(arts))
+	errs := make([]error, len(arts))
 	var wg sync.WaitGroup
-	for i, j := range jobs {
+	for i, a := range arts {
 		wg.Add(1)
-		go func(i int, j job) {
+		go func() {
 			defer wg.Done()
-			outs[i], errs[i] = j.run()
-		}(i, j)
+			outs[i], errs[i] = a.Render(s, hosts)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("%s: %v", jobs[i].name, err)
+			t.Fatalf("%s: %v", arts[i].ID, err)
 		}
 	}
-	return strings.Join(outs, "")
+	return outs
 }
 
-// TestParallelDeterminism asserts the engine's rendered tables are
+// TestParallelDeterminism asserts every artefact's rendered text is
 // byte-identical to the sequential path for worker counts 1, 2 and 8 —
 // run under -race in CI.
 func TestParallelDeterminism(t *testing.T) {
@@ -69,12 +41,12 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	o := QuickOptions()
-	o.RecordsPerCore = 4_000
+	o.RecordsPerCore = artefactRecords
 	outputs := map[int]string{}
 	for _, workers := range []int{1, 2, 8} {
 		opt := o
 		opt.Workers = workers
-		outputs[workers] = renderArtefacts(t, NewSuite(opt))
+		outputs[workers] = strings.Join(renderArtefacts(t, NewSuite(opt), artefactHosts), "")
 	}
 	if outputs[1] == "" {
 		t.Fatal("sequential render is empty")
@@ -104,7 +76,7 @@ func TestEngineSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = s.get(o.Cfg, wl, migration.PIPM)
+			results[i], errs[i] = s.run.Get(s.req(o.Cfg, wl, migration.PIPM))
 		}(i)
 	}
 	wg.Wait()
@@ -136,11 +108,10 @@ func TestEngineDeduplicatesAcrossFigures(t *testing.T) {
 	o.RecordsPerCore = 4_000
 	o.Workloads = o.Workloads[:1]
 	s := NewSuite(o)
-	if _, err := s.Fig5(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Fig10(); err != nil {
-		t.Fatal(err)
+	for _, f := range []figure{fig5, fig10} {
+		if _, err := s.build(f, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	seen := map[string]int{}
 	for _, st := range s.RunStats() {
@@ -168,7 +139,7 @@ func TestEngineProgressAndError(t *testing.T) {
 	var buf syncBuffer
 	o.Progress = &buf
 	s := NewSuite(o)
-	if _, err := s.get(o.Cfg, o.Workloads[0], migration.Native); err != nil {
+	if _, err := s.run.Get(s.req(o.Cfg, o.Workloads[0], migration.Native)); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); !strings.Contains(got, "[engine] 1/1 runs") {
@@ -177,12 +148,12 @@ func TestEngineProgressAndError(t *testing.T) {
 
 	bad := o.Cfg
 	bad.Hosts = 0
-	if _, err := s.get(bad, o.Workloads[0], migration.Native); err == nil {
+	if _, err := s.run.Get(s.req(bad, o.Workloads[0], migration.Native)); err == nil {
 		t.Fatal("engine accepted a broken config")
 	}
 	// The failed run is memoized too: asking again must not re-execute.
 	before := len(s.RunStats())
-	if _, err := s.get(bad, o.Workloads[0], migration.Native); err == nil {
+	if _, err := s.run.Get(s.req(bad, o.Workloads[0], migration.Native)); err == nil {
 		t.Fatal("memoized failure did not surface")
 	}
 	if after := len(s.RunStats()); after != before {

@@ -17,28 +17,12 @@ import (
 // §5.1.4's threshold robustness ("similar performance with thresholds
 // ranging from 4 to 16").
 
-// Scalability sweeps the host count and reports PIPM's speedup over Native
-// plus OS-skew's, on each workload. Cores per host and the shared heap stay
-// fixed, so adding hosts adds both compute demand and sharing pressure.
-func (s *Suite) Scalability(hostCounts []int) (Table, error) {
+// scalability sweeps the host count (default 2, 4, 8) and reports PIPM's
+// speedup over Native on each workload. Cores per host and the shared heap
+// stay fixed, so adding hosts adds both compute demand and sharing pressure.
+func scalability(p *plan, hostCounts []int) []Table {
 	if len(hostCounts) == 0 {
 		hostCounts = []int{2, 4, 8}
-	}
-	hostCfg := func(hosts int) config.Config {
-		cfg := s.opt.Cfg
-		cfg.Hosts = hosts
-		return cfg
-	}
-	var reqs []RunRequest
-	for _, wl := range s.opt.Workloads {
-		for _, hosts := range hostCounts {
-			reqs = append(reqs,
-				s.req(hostCfg(hosts), wl, migration.Native),
-				s.req(hostCfg(hosts), wl, migration.PIPM))
-		}
-	}
-	if err := s.prefetch(reqs); err != nil {
-		return Table{}, err
 	}
 	t := Table{
 		Title:     "Scalability (§4.5): PIPM speedup over Native vs host count",
@@ -47,73 +31,45 @@ func (s *Suite) Scalability(hostCounts []int) (Table, error) {
 	for _, h := range hostCounts {
 		t.Cols = append(t.Cols, fmt.Sprintf("%dhosts", h))
 	}
-	for _, wl := range s.opt.Workloads {
-		row := make([]float64, len(hostCounts))
-		for i, hosts := range hostCounts {
-			nat, err := s.get(hostCfg(hosts), wl, migration.Native)
-			if err != nil {
-				return Table{}, err
-			}
-			res, err := s.get(hostCfg(hosts), wl, migration.PIPM)
-			if err != nil {
-				return Table{}, err
-			}
-			row[i] = Speedup(res, nat)
+	for _, wl := range p.opt.Workloads {
+		var row []float64
+		for _, hosts := range hostCounts {
+			cfg := p.opt.Cfg
+			cfg.Hosts = hosts
+			nat := p.get(cfg, wl, migration.Native)
+			row = append(row, Speedup(p.get(cfg, wl, migration.PIPM), nat))
 		}
 		t.Rows = append(t.Rows, wl.Name)
 		t.Cells = append(t.Cells, row)
 	}
-	return t, nil
+	return []Table{t}
 }
 
-// Adaptivity runs phase-rotating variants of the workloads: halfway
+// adaptivity runs phase-rotating variants of the workloads: halfway
 // through the trace each host's partition affinity shifts to the next host, so
 // yesterday's perfect placement is today's remote data. PIPM's vote plus
 // revocation tracks the shift; HW-static's fixed mapping cannot — the
 // dynamic-remapping argument of §3.3 made quantitative. The rotated Params
 // differ from the catalog entry only in RotateEvery, which the run key
 // captures, so these runs never alias the fixed-affinity sweep.
-func (s *Suite) Adaptivity() (Table, error) {
-	rotated := func(wl workload.Params) workload.Params {
-		rot := wl
-		rot.RotateEvery = s.opt.RecordsPerCore / 2 // two phases per run
-		return rot
-	}
-	schemes := []migration.Kind{migration.HWStatic, migration.PIPM}
-	var reqs []RunRequest
-	for _, wl := range s.opt.Workloads {
-		rot := rotated(wl)
-		reqs = append(reqs, s.req(s.opt.Cfg, rot, migration.Native))
-		for _, k := range schemes {
-			reqs = append(reqs, s.req(s.opt.Cfg, rot, k))
-		}
-	}
-	if err := s.prefetch(reqs); err != nil {
-		return Table{}, err
-	}
+func adaptivity(p *plan, _ []int) []Table {
 	t := Table{
 		Title:     "Adaptivity: speedup over Native with rotating partition affinity",
 		MeanLabel: "mean",
 		Cols:      []string{"hw-static", "pipm"},
 	}
-	for _, wl := range s.opt.Workloads {
-		rot := rotated(wl)
-		nat, err := s.get(s.opt.Cfg, rot, migration.Native)
-		if err != nil {
-			return Table{}, err
-		}
-		row := make([]float64, 2)
-		for i, k := range schemes {
-			res, err := s.get(s.opt.Cfg, rot, k)
-			if err != nil {
-				return Table{}, err
-			}
-			row[i] = Speedup(res, nat)
+	for _, wl := range p.opt.Workloads {
+		rot := wl
+		rot.RotateEvery = p.opt.RecordsPerCore / 2 // two phases per run
+		nat := p.get(p.opt.Cfg, rot, migration.Native)
+		var row []float64
+		for _, k := range []migration.Kind{migration.HWStatic, migration.PIPM} {
+			row = append(row, Speedup(p.get(p.opt.Cfg, rot, k), nat))
 		}
 		t.Rows = append(t.Rows, wl.Name)
 		t.Cells = append(t.Cells, row)
 	}
-	return t, nil
+	return []Table{t}
 }
 
 // ---------------------------------------------------------- cluster scale --
@@ -170,19 +126,6 @@ func (s *Suite) clusterScaleReq(wl workload.Params, hosts int, k migration.Kind)
 	return r
 }
 
-// telemetryOf returns the collected telemetry of one completed request, nil
-// if the key was never scheduled on this suite's engine.
-func (s *Suite) telemetryOf(req RunRequest) *telemetry.Output {
-	s.eng.mu.Lock()
-	ent, ok := s.eng.runs[req.Key()]
-	s.eng.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	<-ent.done
-	return ent.telem
-}
-
 // linkOccupancy derives the mean per-direction CXL link utilisation of a run
 // from its closing telemetry snapshot: every host's up- and down-pipe busy
 // time (cumulative gauges, so the last sample is the whole run) over the
@@ -201,28 +144,18 @@ func linkOccupancy(out *telemetry.Output, hosts int, exec sim.Time) float64 {
 	return busy / (2 * float64(hosts) * float64(exec))
 }
 
-// ClusterScale sweeps the cluster size across representation regimes (exact
+// clusterScale sweeps the cluster size across representation regimes (exact
 // sharer bitmask at 4/16/64 hosts, summary sets plus sparse hotness rows at
 // 256) and reports two tables: scheme speedup over Native — the paper's
 // ordering claim, which must hold at every size — and CXL link occupancy,
 // where batched region shootdowns must keep the fabric from saturating as
 // sharer populations grow. One workload (pr, the strongest sharing pressure
 // in the quick set) keeps the 256-host point affordable.
-func (s *Suite) ClusterScale(hostCounts []int) ([]Table, error) {
+func clusterScale(p *plan, hostCounts []int) []Table {
 	if len(hostCounts) == 0 {
 		hostCounts = ClusterScaleHosts()
 	}
 	wl := mustWorkload("pr")
-	var reqs []RunRequest
-	for _, hosts := range hostCounts {
-		for _, k := range clusterScaleSchemes {
-			reqs = append(reqs, s.clusterScaleReq(wl, hosts, k))
-		}
-	}
-	if err := s.prefetch(reqs); err != nil {
-		return nil, err
-	}
-
 	speed := Table{
 		Title:     "Cluster scale: speedup over Native vs host count (pr)",
 		MeanLabel: "mean",
@@ -239,19 +172,12 @@ func (s *Suite) ClusterScale(hostCounts []int) ([]Table, error) {
 	for _, k := range clusterScaleSchemes {
 		var srow, orow []float64
 		for _, hosts := range hostCounts {
-			req := s.clusterScaleReq(wl, hosts, k)
-			res, err := s.eng.get(req)
-			if err != nil {
-				return nil, err
-			}
+			req := p.clusterScaleReq(wl, hosts, k)
+			res := p.fetch(req)
 			if k != migration.Native {
-				nat, err := s.eng.get(s.clusterScaleReq(wl, hosts, migration.Native))
-				if err != nil {
-					return nil, err
-				}
-				srow = append(srow, Speedup(res, nat))
+				srow = append(srow, Speedup(res, p.fetch(p.clusterScaleReq(wl, hosts, migration.Native))))
 			}
-			orow = append(orow, linkOccupancy(s.telemetryOf(req), hosts, res.ExecTime))
+			orow = append(orow, linkOccupancy(p.telemetry(req), hosts, res.ExecTime))
 		}
 		if k != migration.Native {
 			speed.Rows = append(speed.Rows, k.String())
@@ -260,32 +186,15 @@ func (s *Suite) ClusterScale(hostCounts []int) ([]Table, error) {
 		occ.Rows = append(occ.Rows, k.String())
 		occ.Cells = append(occ.Cells, orow)
 	}
-	return []Table{speed, occ}, nil
+	return []Table{speed, occ}
 }
 
-// ThresholdSensitivity sweeps the majority-vote promotion threshold and
+// thresholdSensitivity sweeps the majority-vote promotion threshold and
 // reports PIPM's speedup over Native — the §5.1.4 robustness claim. The
 // point matching the base configuration's threshold shares its run with the
 // Fig 10–13 sweep through the memo.
-func (s *Suite) ThresholdSensitivity(thresholds []int) (Table, error) {
-	if len(thresholds) == 0 {
-		thresholds = []int{2, 4, 8, 16, 32}
-	}
-	thCfg := func(th int) config.Config {
-		cfg := s.opt.Cfg
-		cfg.PIPM.MigrationThreshold = th
-		return cfg
-	}
-	var reqs []RunRequest
-	for _, wl := range s.opt.Workloads {
-		reqs = append(reqs, s.req(s.opt.Cfg, wl, migration.Native))
-		for _, th := range thresholds {
-			reqs = append(reqs, s.req(thCfg(th), wl, migration.PIPM))
-		}
-	}
-	if err := s.prefetch(reqs); err != nil {
-		return Table{}, err
-	}
+func thresholdSensitivity(p *plan, _ []int) []Table {
+	thresholds := []int{2, 4, 8, 16, 32}
 	t := Table{
 		Title:     "Threshold sensitivity (§5.1.4): PIPM speedup over Native vs vote threshold",
 		MeanLabel: "mean",
@@ -293,21 +202,16 @@ func (s *Suite) ThresholdSensitivity(thresholds []int) (Table, error) {
 	for _, th := range thresholds {
 		t.Cols = append(t.Cols, fmt.Sprintf("th=%d", th))
 	}
-	for _, wl := range s.opt.Workloads {
-		nat, err := s.get(s.opt.Cfg, wl, migration.Native)
-		if err != nil {
-			return Table{}, err
-		}
-		row := make([]float64, len(thresholds))
-		for i, th := range thresholds {
-			res, err := s.get(thCfg(th), wl, migration.PIPM)
-			if err != nil {
-				return Table{}, err
-			}
-			row[i] = Speedup(res, nat)
+	for _, wl := range p.opt.Workloads {
+		nat := p.get(p.opt.Cfg, wl, migration.Native)
+		var row []float64
+		for _, th := range thresholds {
+			cfg := p.opt.Cfg
+			cfg.PIPM.MigrationThreshold = th
+			row = append(row, Speedup(p.get(cfg, wl, migration.PIPM), nat))
 		}
 		t.Rows = append(t.Rows, wl.Name)
 		t.Cells = append(t.Cells, row)
 	}
-	return t, nil
+	return []Table{t}
 }

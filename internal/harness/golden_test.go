@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"pipm/internal/audit"
-	"pipm/internal/check"
 	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/telemetry"
@@ -115,7 +114,7 @@ var goldenTiers = func() []goldenTier {
 		{name: "scale", file: "golden_scale.json", slow: true, sweep: scaleSweep,
 			header: goldenFile{Schema: "pipm-golden-scale/v1", Workload: "pr", RecordsPerCore: o.RecordsPerCore, Seed: o.Seed}},
 		// serve: every (workload, hosts, scheme) run behind
-		// ServeComparison. The mechanistic generators execute their
+		// the serve artefact. The mechanistic generators execute their
 		// serving/filesystem loops, so these digests pin generator
 		// behaviour — arrival sequencing, slot placement, CAS ordering —
 		// as well as the simulator's.
@@ -269,58 +268,13 @@ var artefactHosts = []int{4, 16}
 func artefactsSweep(t *testing.T) []goldenEntry {
 	o := QuickOptions()
 	o.RecordsPerCore = artefactRecords
-	s := NewSuite(o)
-	one := func(f func() (Table, error)) func() ([]Table, error) {
-		return func() ([]Table, error) {
-			tb, err := f()
-			return []Table{tb}, err
-		}
+	var out []goldenEntry
+	texts := renderArtefacts(t, NewSuite(o), artefactHosts)
+	for i, a := range Artefacts() {
+		sum := sha256.Sum256([]byte(texts[i]))
+		out = append(out, goldenEntry{Name: a.ID, Digest: hex.EncodeToString(sum[:])})
 	}
-	figs := []struct {
-		id string
-		f  func() ([]Table, error)
-	}{
-		{"fig4", s.Fig4}, {"fig5", one(s.Fig5)}, {"fig10", one(s.Fig10)}, {"fig11", one(s.Fig11)},
-		{"fig12", one(s.Fig12)}, {"fig13", one(s.Fig13)}, {"fig14", one(s.Fig14)}, {"fig15", one(s.Fig15)},
-		{"fig16", one(s.Fig16)}, {"fig17", one(s.Fig17)},
-		{"scalability", one(func() (Table, error) { return s.Scalability(nil) })},
-		{"clusterscale", func() ([]Table, error) { return s.ClusterScale(artefactHosts) }},
-		{"serve", func() ([]Table, error) { return s.ServeComparison(artefactHosts) }},
-		{"threshold", one(func() (Table, error) { return s.ThresholdSensitivity(nil) })},
-		{"adaptivity", one(s.Adaptivity)},
-	}
-	digest := func(text string) string {
-		sum := sha256.Sum256([]byte(text))
-		return hex.EncodeToString(sum[:])
-	}
-	out := []goldenEntry{{Name: "table1", Digest: digest(Table1())}, {Name: "table2", Digest: digest(Table2(o.Cfg))}}
-	for _, f := range figs {
-		tabs, err := f.f()
-		if err != nil {
-			t.Fatalf("%s: %v", f.id, err)
-		}
-		var b strings.Builder
-		for _, tb := range tabs {
-			b.WriteString(tb.Format())
-		}
-		out = append(out, goldenEntry{Name: f.id, Digest: digest(b.String())})
-	}
-	var b strings.Builder
-	for _, hosts := range []int{2, 3} {
-		for _, ext := range []bool{false, true} {
-			name := "MSI"
-			if ext {
-				name = "MSI+PIPM"
-			}
-			res, v := check.Run(check.Options{Hosts: hosts, Lines: 1, PIPM: ext, Workers: 1})
-			if v != nil {
-				t.Fatal(v)
-			}
-			fmt.Fprintf(&b, "%-9s %d hosts: %d states, %d transitions, SWMR+SC hold, deadlock-free\n",
-				name, hosts, res.States, res.Transitions)
-		}
-	}
-	return append(out, goldenEntry{Name: "protocheck", Digest: digest(b.String())})
+	return out
 }
 
 // quickSweep is every registered scheme × every QuickOptions workload,
@@ -362,7 +316,7 @@ func scaleSweep(t *testing.T) []goldenEntry {
 	return digestSweep(t, labels, reqs)
 }
 
-// serveSweep is the run set behind ServeComparison: every scheme on each
+// serveSweep is the run set behind the serve artefact: every scheme on each
 // serve workload at the base cluster size, then the cluster-scale schemes
 // at every cluster size. Base-size pairs the second part repeats keep
 // their first position.

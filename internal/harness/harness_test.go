@@ -16,6 +16,16 @@ func quickSuite(t *testing.T) *Suite {
 	return NewSuite(o)
 }
 
+// build1 builds a one-table figure on s with the given host ladder.
+func build1(t *testing.T, s *Suite, f figure, hosts ...int) Table {
+	t.Helper()
+	tabs, err := s.build(f, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tabs[0]
+}
+
 func TestRunOneProducesMetrics(t *testing.T) {
 	o := QuickOptions()
 	wl, _ := workload.ByName("pr")
@@ -62,11 +72,11 @@ func TestEngineMemoizes(t *testing.T) {
 	o.RecordsPerCore = 5_000
 	s := NewSuite(o)
 	wl := o.Workloads[0]
-	r1, err := s.get(o.Cfg, wl, migration.Native)
+	r1, err := s.run.Get(s.req(o.Cfg, wl, migration.Native))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.get(o.Cfg, wl, migration.Native)
+	r2, err := s.run.Get(s.req(o.Cfg, wl, migration.Native))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +133,22 @@ func TestTable1And2Render(t *testing.T) {
 			t.Errorf("Table1 missing %s", name)
 		}
 	}
-	cfg := config.Default()
-	s2 := Table2(cfg)
-	for _, frag := range []string{"4 hosts", "6-wide", "50.00ns", "threshold 8"} {
-		if !strings.Contains(s2, frag) {
-			t.Errorf("Table2 missing %q:\n%s", frag, s2)
+	for _, tc := range []struct {
+		name  string
+		cfg   config.Config
+		frags []string
+	}{
+		{"paper", config.Default(), []string{"4 hosts", "6-wide", "50.00ns", "threshold 8", "LLC            2MB/core"}},
+		// The scaled sweep configurations shrink the LLC below 1 MB, which
+		// must print in KB rather than as 0MB.
+		{"scaled", DefaultOptions().Cfg, []string{"4 hosts, 4 cores per host", "LLC            128KB/core 16-way"}},
+		{"quick", QuickOptions().Cfg, []string{"4 hosts, 1 cores per host", "LLC            128KB/core 16-way"}},
+	} {
+		s2 := Table2(tc.cfg)
+		for _, frag := range tc.frags {
+			if !strings.Contains(s2, frag) {
+				t.Errorf("%s: Table2 missing %q:\n%s", tc.name, frag, s2)
+			}
 		}
 	}
 }
@@ -137,10 +158,7 @@ func TestFig10ShapeOnQuickRun(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	s := quickSuite(t)
-	tab, err := s.Fig10()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := build1(t, s, fig10)
 	if len(tab.Rows) != 3 || len(tab.Cols) != 7 {
 		t.Fatalf("table shape %dx%d", len(tab.Rows), len(tab.Cols))
 	}
@@ -167,14 +185,8 @@ func TestFig11And12Consistency(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	s := quickSuite(t)
-	hit, err := s.Fig11()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stall, err := s.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
+	hit := build1(t, s, fig11)
+	stall := build1(t, s, fig12)
 	for r := range hit.Rows {
 		for c := range hit.Cols {
 			if hit.Cells[r][c] < 0 || hit.Cells[r][c] > 100 {
@@ -196,10 +208,7 @@ func TestFig13FootprintShape(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	s := quickSuite(t)
-	tab, err := s.Fig13()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := build1(t, s, fig13)
 	for r := range tab.Rows {
 		hw, _ := tab.Cell(tab.Rows[r], "hw-static")
 		if hw < 20 || hw > 30 {
@@ -218,10 +227,7 @@ func TestFig5Bounds(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	s := quickSuite(t)
-	tab, err := s.Fig5()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := build1(t, s, fig5)
 	for r := range tab.Rows {
 		for c := range tab.Cols {
 			if v := tab.Cells[r][c]; v < 0 || v > 100 {
@@ -239,10 +245,7 @@ func TestFig16SmallCacheHurts(t *testing.T) {
 	o.RecordsPerCore = 15_000
 	o.Workloads = o.Workloads[:1]
 	s := NewSuite(o)
-	tab, err := s.Fig16()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := build1(t, s, fig16)
 	// Normalized performance must be ≤ ~1 and non-decreasing-ish with size.
 	first := tab.Cells[0][0]
 	last := tab.Cells[0][len(tab.Cols)-1]
@@ -266,23 +269,25 @@ func TestExtensionExperiments(t *testing.T) {
 	o.Workloads = o.Workloads[:1] // pr only
 	s := NewSuite(o)
 
-	scal, err := s.Scalability([]int{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	scal := build1(t, s, scalability, 2, 4)
 	for c := range scal.Cols {
 		if scal.Cells[0][c] <= 1 {
 			t.Errorf("PIPM speedup at %s = %.2f, want > 1", scal.Cols[c], scal.Cells[0][c])
 		}
 	}
 
-	th, err := s.ThresholdSensitivity([]int{4, 8, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	th := build1(t, s, thresholdSensitivity)
 	// §5.1.4: similar performance across 4..16 — within 25% of each other.
-	lo, hi := th.Cells[0][0], th.Cells[0][0]
-	for _, v := range th.Cells[0] {
+	var across []float64
+	for _, col := range []string{"th=4", "th=8", "th=16"} {
+		v, ok := th.Cell("pr", col)
+		if !ok {
+			t.Fatalf("threshold table has no %s column: %v", col, th.Cols)
+		}
+		across = append(across, v)
+	}
+	lo, hi := across[0], across[0]
+	for _, v := range across {
 		if v < lo {
 			lo = v
 		}
@@ -294,10 +299,7 @@ func TestExtensionExperiments(t *testing.T) {
 		t.Errorf("threshold sensitivity too wide: %.2f..%.2f", lo, hi)
 	}
 
-	ad, err := s.Adaptivity()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ad := build1(t, s, adaptivity)
 	hwStatic, _ := ad.Cell("pr", "hw-static")
 	pipmV, _ := ad.Cell("pr", "pipm")
 	if pipmV <= hwStatic {

@@ -155,11 +155,11 @@ func TestSameNameDifferentZipfS(t *testing.T) {
 	hot := wl
 	hot.ZipfS = wl.ZipfS + 1.5
 
-	r1, err := s.get(o.Cfg, wl, migration.Native)
+	r1, err := s.run.Get(s.req(o.Cfg, wl, migration.Native))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.get(o.Cfg, hot, migration.Native)
+	r2, err := s.run.Get(s.req(o.Cfg, hot, migration.Native))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,35 +24,25 @@ func (s *Suite) serveScaleReq(wl workload.Params, hosts int, k migration.Kind) R
 	return r
 }
 
-// ServeComparison is the production-service figure: every scheme on the
+// serveComparison is the production-service figure: every scheme on the
 // llmserve and daxfs workloads at the base cluster size, then a per-workload
 // cluster-scale cut over the same host ladder and scheme subset as the
-// ClusterScale experiment. The read-mostly weight region and write-heavy
+// cluster-scale figure. The read-mostly weight region and write-heavy
 // migrating KV slots (llmserve) and the all-host CAS contention over cold
 // extents (daxfs) probe PIPM's partial-absorption premise where the Table 1
 // kernels never do.
-func (s *Suite) ServeComparison(hostCounts []int) ([]Table, error) {
+func serveComparison(p *plan, hostCounts []int) []Table {
 	if len(hostCounts) == 0 {
 		hostCounts = ClusterScaleHosts()
 	}
 	workloads := ServeWorkloads()
-	var reqs []RunRequest
-	for _, wl := range workloads {
-		for _, k := range migration.Kinds {
-			reqs = append(reqs, s.serveScaleReq(wl, s.opt.Cfg.Hosts, k))
-		}
-		for _, hosts := range hostCounts {
-			for _, k := range clusterScaleSchemes {
-				reqs = append(reqs, s.serveScaleReq(wl, hosts, k))
-			}
-		}
-	}
-	if err := s.prefetch(reqs); err != nil {
-		return nil, err
+	speedup := func(wl workload.Params, hosts int, k migration.Kind) float64 {
+		nat := p.fetch(p.serveScaleReq(wl, hosts, migration.Native))
+		return Speedup(p.fetch(p.serveScaleReq(wl, hosts, k)), nat)
 	}
 
 	base := Table{
-		Title:     fmt.Sprintf("Production services: speedup over Native (%d hosts)", s.opt.Cfg.Hosts),
+		Title:     fmt.Sprintf("Production services: speedup over Native (%d hosts)", p.opt.Cfg.Hosts),
 		MeanLabel: "mean",
 	}
 	for _, wl := range workloads {
@@ -64,15 +54,7 @@ func (s *Suite) ServeComparison(hostCounts []int) ([]Table, error) {
 		}
 		var row []float64
 		for _, wl := range workloads {
-			nat, err := s.eng.get(s.serveScaleReq(wl, s.opt.Cfg.Hosts, migration.Native))
-			if err != nil {
-				return nil, err
-			}
-			res, err := s.eng.get(s.serveScaleReq(wl, s.opt.Cfg.Hosts, k))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, Speedup(res, nat))
+			row = append(row, speedup(wl, p.opt.Cfg.Hosts, k))
 		}
 		base.Rows = append(base.Rows, k.String())
 		base.Cells = append(base.Cells, row)
@@ -93,20 +75,12 @@ func (s *Suite) ServeComparison(hostCounts []int) ([]Table, error) {
 			}
 			var row []float64
 			for _, hosts := range hostCounts {
-				nat, err := s.eng.get(s.serveScaleReq(wl, hosts, migration.Native))
-				if err != nil {
-					return nil, err
-				}
-				res, err := s.eng.get(s.serveScaleReq(wl, hosts, k))
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, Speedup(res, nat))
+				row = append(row, speedup(wl, hosts, k))
 			}
 			scale.Rows = append(scale.Rows, k.String())
 			scale.Cells = append(scale.Cells, row)
 		}
 		tables = append(tables, scale)
 	}
-	return tables, nil
+	return tables
 }

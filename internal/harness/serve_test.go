@@ -47,7 +47,7 @@ func TestServeAuditedSmoke(t *testing.T) {
 }
 
 // TestServeComparisonDeterministicAcrossWorkers renders the full
-// ServeComparison figure on a 1-worker engine and an 8-worker engine and
+// production-service figure on a 1-worker engine and an 8-worker engine and
 // requires byte-identical tables — the engine-parallel half of the serve
 // determinism guarantee (the single-run half lives in
 // TestInstrumentedRunDeterminism). A reduced record budget keeps the double
@@ -61,7 +61,7 @@ func TestServeComparisonDeterministicAcrossWorkers(t *testing.T) {
 		o.RecordsPerCore = 6_000
 		o.Workers = workers
 		s := NewSuite(o)
-		tables, err := s.ServeComparison(nil)
+		tables, err := s.build(serveComparison, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -72,7 +72,7 @@ func TestServeComparisonDeterministicAcrossWorkers(t *testing.T) {
 		return out
 	}
 	if a, b := render(1), render(8); a != b {
-		t.Errorf("ServeComparison tables differ between 1 and 8 engine workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", a, b)
+		t.Errorf("serve tables differ between 1 and 8 engine workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", a, b)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestServeComparisonShape(t *testing.T) {
 	o.RecordsPerCore = 4_000
 	s := NewSuite(o)
 	hosts := []int{4, 16}
-	tables, err := s.ServeComparison(hosts)
+	tables, err := s.build(serveComparison, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,11 @@ func TestSuiteStoreRoundTrip(t *testing.T) {
 	o1 := storeTestOptions(t, dir)
 	s1 := NewSuite(o1)
 	wl := o1.Workloads[0]
-	r1a, err := s1.get(o1.Cfg, wl, migration.Native)
+	r1a, err := s1.run.Get(s1.req(o1.Cfg, wl, migration.Native))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1b, err := s1.get(o1.Cfg, wl, migration.PIPM)
+	r1b, err := s1.run.Get(s1.req(o1.Cfg, wl, migration.PIPM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestSuiteStoreRoundTrip(t *testing.T) {
 
 	o2 := storeTestOptions(t, dir)
 	s2 := NewSuite(o2)
-	r2a, err := s2.get(o2.Cfg, wl, migration.Native)
+	r2a, err := s2.run.Get(s2.req(o2.Cfg, wl, migration.Native))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2b, err := s2.get(o2.Cfg, wl, migration.PIPM)
+	r2b, err := s2.run.Get(s2.req(o2.Cfg, wl, migration.PIPM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	o1 := storeTestOptions(t, dir)
 	s1 := NewSuite(o1)
 	wl := o1.Workloads[0]
-	want, err := s1.get(o1.Cfg, wl, migration.PIPM)
+	want, err := s1.run.Get(s1.req(o1.Cfg, wl, migration.PIPM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	var progress bytes.Buffer
 	o2.Progress = &progress
 	s2 := NewSuite(o2)
-	got, err := s2.get(o2.Cfg, wl, migration.PIPM)
+	got, err := s2.run.Get(s2.req(o2.Cfg, wl, migration.PIPM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	// The write-back repaired the entry: a third handle hits cleanly.
 	o3 := storeTestOptions(t, dir)
 	s3 := NewSuite(o3)
-	if _, err := s3.get(o3.Cfg, wl, migration.PIPM); err != nil {
+	if _, err := s3.run.Get(s3.req(o3.Cfg, wl, migration.PIPM)); err != nil {
 		t.Fatal(err)
 	}
 	st3, _ := s3.StoreStats()
@@ -154,7 +154,7 @@ func TestStoreContentMismatchIsAMiss(t *testing.T) {
 	o1 := storeTestOptions(t, dir)
 	s1 := NewSuite(o1)
 	wl := o1.Workloads[0]
-	if _, err := s1.get(o1.Cfg, wl, migration.PIPM); err != nil {
+	if _, err := s1.run.Get(s1.req(o1.Cfg, wl, migration.PIPM)); err != nil {
 		t.Fatal(err)
 	}
 	plainKey := s1.req(o1.Cfg, wl, migration.PIPM).Key().String()
@@ -174,7 +174,7 @@ func TestStoreContentMismatchIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := s2.get(o2.Cfg, wl, migration.PIPM); err != nil {
+	if _, err := s2.run.Get(s2.req(o2.Cfg, wl, migration.PIPM)); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := s2.StoreStats()
@@ -217,7 +217,7 @@ func TestStoreTelemetryExportIdentity(t *testing.T) {
 		s := NewSuite(o)
 		wl := o.Workloads[0]
 		for _, k := range []migration.Kind{migration.Native, migration.PIPM} {
-			if _, err := s.get(o.Cfg, wl, k); err != nil {
+			if _, err := s.run.Get(s.req(o.Cfg, wl, k)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -250,7 +250,7 @@ func TestAuditedRunsBypassStore(t *testing.T) {
 	o.Audit.Mode = audit.Quantum
 	s := NewSuite(o)
 	wl := o.Workloads[0]
-	if _, err := s.get(o.Cfg, wl, migration.PIPM); err != nil {
+	if _, err := s.run.Get(s.req(o.Cfg, wl, migration.PIPM)); err != nil {
 		t.Fatal(err)
 	}
 	st, ok := s.StoreStats()
@@ -314,7 +314,7 @@ func TestStoreEntriesAreSharded(t *testing.T) {
 	dir := t.TempDir()
 	o := storeTestOptions(t, dir)
 	s := NewSuite(o)
-	if _, err := s.get(o.Cfg, o.Workloads[0], migration.Native); err != nil {
+	if _, err := s.run.Get(s.req(o.Cfg, o.Workloads[0], migration.Native)); err != nil {
 		t.Fatal(err)
 	}
 	keys, err := o.Store.Keys()

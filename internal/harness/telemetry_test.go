@@ -53,7 +53,7 @@ func TestSuiteTelemetryFootprintCurve(t *testing.T) {
 	s := NewSuite(o)
 	wl := o.Workloads[0]
 	for _, k := range []migration.Kind{migration.PIPM, migration.Nomad} {
-		if _, err := s.get(o.Cfg, wl, k); err != nil {
+		if _, err := s.run.Get(s.req(o.Cfg, wl, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 			s.req(o.Cfg, wl, migration.Nomad),
 			s.req(o.Cfg, wl, migration.Native),
 		}
-		if err := s.prefetch(reqs); err != nil {
+		if err := s.run.eng.runAll(reqs); err != nil {
 			t.Fatal(err)
 		}
 		var tsb, trb bytes.Buffer

@@ -63,11 +63,6 @@ func (m *Machine) EnableAuditor(o audit.Options) error {
 	return nil
 }
 
-// EnableAudit turns on the legacy per-access invariant checking (now the
-// paranoid auditor mode). Call before Run; AuditViolations returns findings
-// after the run.
-func (m *Machine) EnableAudit() { _ = m.EnableAuditor(audit.Options{Mode: audit.Paranoid}) }
-
 // AuditViolations returns the invariant violations observed as strings (nil
 // when the auditor was off or everything held).
 func (m *Machine) AuditViolations() []string {

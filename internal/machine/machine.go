@@ -117,9 +117,6 @@ type Machine struct {
 	trc    *telemetry.Trace
 	telLat [stats.NumClasses]*telemetry.Histogram
 	telOpt telemetry.Options
-
-	dbgUp, dbgDir, dbgData, dbgDown sim.Time
-	dbgN                            uint64
 }
 
 func newCollector(cfg config.Config) *stats.Collector {

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"pipm/internal/audit"
 	"pipm/internal/config"
 	"pipm/internal/migration"
 	"pipm/internal/sim"
@@ -44,7 +45,9 @@ func TestKernelTickEdges(t *testing.T) {
 			cfg := testCfg()
 			cfg.Kernel.Interval = tc.interval
 			m := build(t, cfg, migration.Memtis)
-			m.EnableAudit()
+			if err := m.EnableAuditor(audit.Options{Mode: audit.Paranoid}); err != nil {
+				t.Fatal(err)
+			}
 			attachContested(m, tc.records)
 			run(t, m)
 			if errs := m.AuditViolations(); len(errs) > 0 {
@@ -79,7 +82,9 @@ func TestKernelTickZeroAccessEpochs(t *testing.T) {
 	cfg := testCfg()
 	cfg.Kernel.Interval = 500 * sim.Nanosecond // hundreds of empty epochs
 	m := build(t, cfg, migration.Memtis)
-	m.EnableAudit()
+	if err := m.EnableAuditor(audit.Options{Mode: audit.Paranoid}); err != nil {
+		t.Fatal(err)
+	}
 	am := m.AddressMap()
 	for h := 0; h < cfg.Hosts; h++ {
 		m.SetTrace(h, 0, privateTrace(am, h, 10000))
@@ -138,7 +143,9 @@ func pageRounds(am config.AddressMap, h, rounds int, write bool, startGap uint32
 func TestRevocationDuringForwardedFetches(t *testing.T) {
 	cfg := testCfg()
 	m := build(t, cfg, migration.PIPM)
-	m.EnableAudit()
+	if err := m.EnableAuditor(audit.Options{Mode: audit.Paranoid}); err != nil {
+		t.Fatal(err)
+	}
 	am := m.AddressMap()
 
 	// Host 0: dirty rounds over page 0 — the first round's 64 device

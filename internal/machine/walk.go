@@ -252,24 +252,10 @@ func (m *Machine) cxlServe(t sim.Time, c *coreState, rec trace.Record) (sim.Time
 
 	downLat := m.fabric.DeviceToHost(t, h.id, cxlDataBytes) - t
 	done := t + upLat + dirLat + dataLat + downLat
-	m.dbgUp += upLat
-	m.dbgDir += dirLat
-	m.dbgData += dataLat
-	m.dbgDown += downLat
-	m.dbgN++
 	m.fillLLC(c, line, fillSt)
 	m.fillL1(c, line, fillSt)
 	st.Served[stats.ClassCXL]++
 	return done, stats.ClassCXL
-}
-
-// DebugHops reports mean per-hop latency of the cxlServe path.
-func (m *Machine) DebugHops() (up, dir, data, down sim.Time) {
-	if m.dbgN == 0 {
-		return
-	}
-	n := sim.Time(m.dbgN)
-	return m.dbgUp / n, m.dbgDir / n, m.dbgData / n, m.dbgDown / n
 }
 
 // writeUpgrade obtains write permission for a shared-state line: the device

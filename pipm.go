@@ -135,11 +135,11 @@ type TelemetryOutput = telemetry.Output
 // Speedup returns base's execution time over r's (>1 ⇒ r is faster).
 func Speedup(r, base Result) float64 { return harness.Speedup(r, base) }
 
-// Suite runs the paper's experiments (Figures 4–5 and 10–17) over one
-// option set. Every simulation flows through a run-graph engine that
-// deduplicates runs by canonical key (RunKeyOf) and executes them on a
-// worker pool bounded by SuiteOptions.Workers; rendered artefacts are
-// byte-identical for any worker count.
+// Suite runs the paper's experiments (Figures 4–5 and 10–17, rendered
+// through Artefacts) over one option set. Every simulation flows through a
+// run-graph engine that deduplicates runs by canonical key (RunKeyOf) and
+// executes them on a worker pool bounded by SuiteOptions.Workers; rendered
+// artefacts are byte-identical for any worker count.
 type Suite = harness.Suite
 
 // SuiteOptions configures an experiment sweep, including the engine's
@@ -225,6 +225,16 @@ func NewRunner(o SuiteOptions) *Runner { return harness.NewRunner(o) }
 
 // Table is a rendered experiment artefact.
 type Table = harness.Table
+
+// Artefact is one printable evaluation artefact: its id and the function
+// that renders its text on a Suite (hosts is the cluster-size ladder of
+// clusterscale and serve; nil means ClusterScaleHosts).
+type Artefact = harness.Artefact
+
+// Artefacts returns every artefact cmd/experiments can print, in
+// presentation order: Tables 1–2, Figures 4–5 and 10–17, the extension
+// studies and the protocol model check.
+func Artefacts() []Artefact { return harness.Artefacts() }
 
 // NewSuite builds an experiment suite.
 func NewSuite(o SuiteOptions) *Suite { return harness.NewSuite(o) }
