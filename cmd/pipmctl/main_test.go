@@ -27,27 +27,27 @@ func TestParseSubmit(t *testing.T) {
 		quick = "2311cf7e525c73993635e5dedf82f6e5"
 	)
 	for _, tc := range []struct {
-		args string
+		args string // "spec.json" stands for specFile, keeping subtest names stable
 		want string // job ID, or "error: <message>"
 	}{
 		{"-quick -workloads pr,canneal,ycsb -schemes all -records 6000", ci},
 		{"-quick -workloads pr,canneal -schemes all -records 6000", "cb0b2e065a9319028cbd66d841f280a3"},
 		{"-quick", quick},
 		{"-quick -records 0 -seed 0 -workloads= -schemes=", quick},
-		{"-f " + specFile, ci},
-		{"-f " + specFile + " -schemes all -wait", ci},
-		{"-f " + specFile + " -records 0 -workloads=", quick},
+		{"-f spec.json", ci},
+		{"-f spec.json -schemes all -wait", ci},
+		{"-f spec.json -records 0 -workloads=", quick},
 		{"-quick -workloads pr -schemes pipm -audit quantum", "45c39f77b151a365198853012918b93e"},
 		{"-quick -workloads pr -schemes pipm -seed 3 -timeseries 10us -trace", "8a1d93486e0c90bd01bd8d27298a9f03"},
 
 		{"-quick -records -5", "error: records_per_core must be ≥ 0 (0 = base default), got -5"},
-		{"-f " + specFile + " -quick=false -records -1", "error: records_per_core must be ≥ 0 (0 = base default), got -1"},
+		{"-f spec.json -quick=false -records -1", "error: records_per_core must be ≥ 0 (0 = base default), got -1"},
 		{"-quick -timeseries 0s", `error: sample_interval must be positive, got "0s"`},
 		{"-quick -audit frantic", `error: audit: unknown mode "frantic" (want off, quantum or paranoid)`},
-		{"-f " + specFile + "-missing", "error: open " + specFile + "-missing: no such file or directory"},
+		{"-f spec.json-missing", "error: open spec.json-missing: no such file or directory"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
-			args := strings.Fields(tc.args)
+			args := strings.Fields(strings.ReplaceAll(tc.args, "spec.json", specFile))
 			fs := flag.NewFlagSet("pipmctl submit", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
 			spec, _, _, err := parseSubmit(fs, args)
@@ -59,8 +59,8 @@ func TestParseSubmit(t *testing.T) {
 			if err != nil {
 				got = "error: " + err.Error()
 			}
-			if got != tc.want {
-				t.Errorf("submit %q\n got %s\nwant %s", args, got, tc.want)
+			if want := strings.ReplaceAll(tc.want, "spec.json", specFile); got != want {
+				t.Errorf("submit %q\n got %s\nwant %s", args, got, want)
 			}
 		})
 	}
