@@ -2,6 +2,7 @@ package harness
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -17,9 +18,14 @@ import (
 	"testing"
 
 	"pipm/internal/audit"
+	"pipm/internal/config"
+	"pipm/internal/gapbs"
 	"pipm/internal/migration"
+	"pipm/internal/silo"
 	"pipm/internal/sim"
 	"pipm/internal/telemetry"
+	"pipm/internal/trace"
+	"pipm/internal/workload"
 )
 
 // -update-golden=<tier|all> rewrites the named tier's fixture under
@@ -31,7 +37,7 @@ import (
 // pass. Regenerate "keys" only for a deliberate key-schema change, and say
 // so in the commit message: old stores become cold. See DESIGN.md §11.
 var updateGolden = flag.String("update-golden", "",
-	"rewrite the named golden tier's fixture from the current code: quick, scale, serve, keys, artefacts, tables or all")
+	"rewrite the named golden tier's fixture from the current code: quick, scale, serve, keys, artefacts, streams, tables or all")
 
 // updating reports whether -update-golden names tier, and fails the test
 // on a tier name nothing would regenerate.
@@ -132,6 +138,13 @@ var goldenTiers = func() []goldenTier {
 		// turns them into tables.
 		{name: "artefacts", file: "golden_artefacts.json", slow: true, sweep: artefactsSweep,
 			header: goldenFile{Schema: "pipm-golden-artefacts/v1", RecordsPerCore: artefactRecords, Seed: o.Seed}},
+		// streams: the SHA-256 of one (host, core) record stream of every
+		// trace generator — each registered workload preset, the three
+		// gapbs kernels and the two silo op mixes. Only a few presets reach
+		// a Result digest, so this tier is the bit-level pin on the rest.
+		// No simulation runs.
+		{name: "streams", file: "golden_streams.json", sweep: streamsSweep,
+			header: goldenFile{Schema: "pipm-golden-streams/v1", RecordsPerCore: streamRecords, Seed: o.Seed}},
 	}
 }()
 
@@ -275,6 +288,66 @@ func artefactsSweep(t *testing.T) []goldenEntry {
 		out = append(out, goldenEntry{Name: a.ID, Digest: hex.EncodeToString(sum[:])})
 	}
 	return out
+}
+
+// streamRecords is the streams tier's per-stream record budget.
+const streamRecords = 4000
+
+// streamsSweep digests host 1 / core 1 of every generator at the quick
+// configuration widened to two cores per host, so both the host and the
+// core term of each per-core seed fold reach the stream.
+func streamsSweep(t *testing.T) []goldenEntry {
+	o := QuickOptions()
+	cfg := o.Cfg
+	cfg.CoresPerHost = 2
+	am := config.NewAddressMap(&cfg)
+	const host, core = 1, 1
+	var out []goldenEntry
+	add := func(name string, r trace.Reader) {
+		out = append(out, goldenEntry{Name: name, Digest: streamDigest(r)})
+	}
+	for _, wl := range workload.All() {
+		add("workload/"+wl.Name, wl.NewReader(am, cfg.Hosts, host, core, streamRecords, o.Seed))
+	}
+	l, err := gapbs.NewLayout(am, gapbs.Kronecker(10, 8, 1), cfg.Hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []gapbs.Kernel{gapbs.PageRank, gapbs.BFS, gapbs.SSSP} {
+		add("gapbs/"+k.String(), l.NewReader(k, host, core, cfg.CoresPerHost, streamRecords, o.Seed))
+	}
+	st, err := silo.NewStore(am, cfg.Hosts, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []silo.Op{silo.YCSB, silo.TPCC} {
+		add("silo/"+op.String(), st.NewReader(op, host, core, cfg.CoresPerHost, streamRecords, o.Seed))
+	}
+	return out
+}
+
+// streamDigest drains r and returns the hex SHA-256 of its records, each
+// encoded as gap (4 bytes LE), address (8 bytes LE), write, dep.
+func streamDigest(r trace.Reader) string {
+	h := sha256.New()
+	var buf [14]byte
+	for {
+		rec, ok := r.Next()
+		if !ok {
+			break
+		}
+		binary.LittleEndian.PutUint32(buf[0:], rec.Gap)
+		binary.LittleEndian.PutUint64(buf[4:], uint64(rec.Addr))
+		buf[12], buf[13] = 0, 0
+		if rec.Write {
+			buf[12] = 1
+		}
+		if rec.Dep {
+			buf[13] = 1
+		}
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // quickSweep is every registered scheme × every QuickOptions workload,
