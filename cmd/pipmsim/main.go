@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"pipm"
+	"pipm/internal/config"
 	"pipm/internal/harness"
 	"pipm/internal/migration"
 	"pipm/internal/store"
@@ -226,7 +227,9 @@ func exportTelemetry(tout *pipm.TelemetryOutput, wl string, k pipm.Scheme, tsPat
 
 // runFromTraces replays tracegen -outdir output through req's machine; the
 // traces stand in for req's generators, so req.Records and req.Seed do not
-// apply. The Result is labelled with the trace directory.
+// apply. The Result is labelled with the trace directory. A trace that
+// fails to decode, or holds an address outside its host's private window
+// and the shared pool, fails the run with the file named.
 func runFromTraces(req harness.RunRequest, dir string) (harness.Result, *telemetry.Output, error) {
 	m, err := pipm.NewMachine(req.Cfg, req.Scheme)
 	if err != nil {
@@ -235,10 +238,10 @@ func runFromTraces(req harness.RunRequest, dir string) (harness.Result, *telemet
 	if err := m.EnableTelemetry(req.Telemetry); err != nil {
 		return harness.Result{}, nil, err
 	}
-	var files []*os.File
+	var files []*traceFile
 	defer func() {
 		for _, f := range files {
-			f.Close()
+			f.f.Close()
 		}
 	}()
 	for h := 0; h < req.Cfg.Hosts; h++ {
@@ -248,18 +251,63 @@ func runFromTraces(req harness.RunRequest, dir string) (harness.Result, *telemet
 			if err != nil {
 				return harness.Result{}, nil, err
 			}
-			files = append(files, f)
-			r, err := trace.NewBinaryReader(f)
-			if err != nil {
+			tf := &traceFile{name: name, f: f, am: m.AddressMap(), host: h}
+			files = append(files, tf)
+			if tf.r, err = trace.NewBinaryReader(f); err != nil {
 				return harness.Result{}, nil, fmt.Errorf("%s: %w", name, err)
 			}
-			m.SetTrace(h, c, r)
+			m.SetTrace(h, c, tf)
 		}
 	}
 	if err := m.Run(); err != nil {
 		return harness.Result{}, nil, err
 	}
+	for _, tf := range files {
+		if err := tf.Err(); err != nil {
+			return harness.Result{}, nil, err
+		}
+	}
 	return harness.Collect(m, dir), m.TelemetryOutput(), nil
+}
+
+// traceFile replays one core's trace file. It ends the stream at the first
+// record whose address lies outside its host's private window and the
+// shared pool; Err reports that or a decoding error, with the file named.
+type traceFile struct {
+	name string
+	f    *os.File
+	r    *trace.BinaryReader
+	am   config.AddressMap
+	host int
+	bad  error
+}
+
+// Next implements trace.Reader.
+func (t *traceFile) Next() (trace.Record, bool) {
+	if t.bad != nil {
+		return trace.Record{}, false
+	}
+	rec, ok := t.r.Next()
+	if !ok {
+		return rec, false
+	}
+	if kind, h := t.am.Region(rec.Addr); kind == config.RegionInvalid || kind == config.RegionPrivate && h != t.host {
+		t.bad = fmt.Errorf("address %#x is outside host %d's private window and the shared pool", uint64(rec.Addr), t.host)
+		return trace.Record{}, false
+	}
+	return rec, true
+}
+
+// Err returns why the stream ended early, or nil after a clean end.
+func (t *traceFile) Err() error {
+	err := t.bad
+	if err == nil {
+		err = t.r.Err()
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", t.name, err)
+	}
+	return nil
 }
 
 func fatal(err error) {

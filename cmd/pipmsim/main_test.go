@@ -1,10 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"pipm/internal/config"
+	"pipm/internal/trace"
 )
 
 // TestParseArgs maps pipmsim argument vectors to the run keys they resolve
@@ -73,5 +82,80 @@ func TestParseArgs(t *testing.T) {
 				t.Errorf("parseArgs(%q)\n got %s\nwant %s", tc.args, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunFromTracesRejectsBadTraces replays a tracegen-style directory:
+// clean, then with one file cut mid-stream, then with one record outside
+// every mapped range. Both bad directories must fail with the file named.
+func TestRunFromTracesRejectsBadTraces(t *testing.T) {
+	fs := flag.NewFlagSet("pipmsim", flag.ContinueOnError)
+	inv, err := parseArgs(fs, []string{"-hosts", "2", "-cores", "1", "-shared", "4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := inv.reqs[0]
+	am := config.NewAddressMap(&req.Cfg)
+	encode := func(recs ...trace.Record) []byte {
+		var buf bytes.Buffer
+		w, err := trace.NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := w.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// writeDir writes every core's stream, with file h0c0.trc replaced by
+	// h0c0 when it is non-nil.
+	writeDir := func(h0c0 []byte) string {
+		dir := t.TempDir()
+		for h := 0; h < req.Cfg.Hosts; h++ {
+			r := req.WL.NewReader(am, req.Cfg.Hosts, h, 0, 2000, 1)
+			var recs []trace.Record
+			for rec, ok := r.Next(); ok; rec, ok = r.Next() {
+				recs = append(recs, rec)
+			}
+			data := encode(recs...)
+			if h == 0 && h0c0 != nil {
+				data = h0c0
+			}
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("h%dc0.trc", h)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+
+	if _, _, err := runFromTraces(req, writeDir(nil)); err != nil {
+		t.Fatalf("clean traces: %v", err)
+	}
+
+	clean, err := os.ReadFile(filepath.Join(writeDir(nil), "h0c0.trc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := append(slices.Clip(clean[:len(clean)/2]), 0xff)
+	_, _, err = runFromTraces(req, writeDir(cut))
+	if !errors.Is(err, trace.ErrBadFormat) || !strings.Contains(err.Error(), "h0c0.trc") {
+		t.Errorf("truncated trace: err = %v, want ErrBadFormat naming h0c0.trc", err)
+	}
+
+	for name, addr := range map[string]config.Addr{
+		"unmapped":            1 << 50,
+		"other host's memory": am.PrivateAddr(1, 0),
+	} {
+		stray := encode(trace.Record{Addr: am.SharedAddr(0)}, trace.Record{Addr: addr})
+		_, _, err = runFromTraces(req, writeDir(stray))
+		if want := fmt.Sprintf("%#x", uint64(addr)); err == nil ||
+			!strings.Contains(err.Error(), "h0c0.trc") || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s address: err = %v, want an error naming h0c0.trc and %s", name, err, want)
+		}
 	}
 }

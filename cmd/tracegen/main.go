@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -113,31 +114,24 @@ func main() {
 }
 
 // writeTrace drains r into a binary trace file and returns the record count.
+// The file appears only once complete: a crash cannot leave a stream that
+// ends on a record boundary and decodes as a clean, shorter trace.
 func writeTrace(name string, r trace.Reader) (int64, error) {
-	f, err := os.Create(name)
-	if err != nil {
-		return 0, err
-	}
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
+	var n int64
+	err := pipm.WriteToAtomic(name, func(f io.Writer) error {
+		w, err := trace.NewWriter(f)
+		if err != nil {
+			return err
 		}
-		if err := w.Write(rec); err != nil {
-			f.Close()
-			return 0, err
+		for rec, ok := r.Next(); ok; rec, ok = r.Next() {
+			if err := w.Write(rec); err != nil {
+				return err
+			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	return w.Count(), f.Close()
+		n = w.Count()
+		return w.Flush()
+	})
+	return n, err
 }
 
 func fatal(err error) {

@@ -113,9 +113,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// minZipfS is the smallest usable skew for math/rand's Zipf (requires > 1).
-const minZipfS = 1.05
-
 // layout is the shared-heap carve: identical on every host and core.
 type layout struct {
 	am          config.AddressMap
@@ -188,7 +185,7 @@ func MetaBoundary(p Params, am config.AddressMap, hosts int) config.Addr {
 }
 
 // New returns the deterministic record stream of host h / core c, derived
-// from (seed, host, core) exactly as Profile reconstructs it.
+// from (seed, host, core) exactly as trace.Profile reconstructs it.
 func New(p Params, am config.AddressMap, hosts, host, core int, records, seed int64) trace.Reader {
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -200,46 +197,32 @@ func New(p Params, am config.AddressMap, hosts, host, core int, records, seed in
 		p:        p,
 		l:        newLayout(p, am, hosts),
 		host:     host,
-		rng:      trace.NewSource(mix(seed, host, core)),
-		remain:   records,
+		rng:      trace.NewSource(trace.CoreSeed(seed, 0x5851F42D, host, core)),
 		cursors:  map[int64]int64{},
 		opLookup: trace.NewBernoulli(p.LookupFrac),
 		opScan:   trace.NewBernoulli(p.LookupFrac + p.ScanFrac),
 		own:      trace.NewBernoulli(p.OwnFrac),
 		scanLen:  trace.NewGeometric(float64(p.ScanLines - 1)),
 	}
-	ownFiles := (r.l.files - int64(host) + int64(hosts) - 1) / int64(hosts)
+	r.Batch = trace.NewBatch(records, r.op)
+	r.ownFiles = (r.l.files - int64(host) + int64(hosts) - 1) / int64(hosts)
 	if r.l.files < int64(hosts) {
-		ownFiles = r.l.files
+		r.ownFiles = r.l.files
 	}
-	r.ownFiles = ownFiles
 	if s := p.FileZipfS; s > 0 {
-		if s < minZipfS {
-			s = minZipfS
-		}
-		zr := rand.New(r.rng)
 		if r.l.files > 1 {
-			r.zipfAll = rand.NewZipf(zr, s, 1, uint64(r.l.files-1))
+			r.zipfAll = trace.NewZipf(r.rng, s, r.l.files)
 		}
-		if ownFiles > 1 {
-			r.zipfOwn = rand.NewZipf(zr, s, 1, uint64(ownFiles-1))
+		if r.ownFiles > 1 {
+			r.zipfOwn = trace.NewZipf(r.rng, s, r.ownFiles)
 		}
 	}
 	return r
 }
 
-// mix folds (seed, host, core) into one RNG seed — the same per-core seam
-// shape the statistical generators use.
-func mix(seed int64, host, core int) int64 {
-	x := uint64(seed)*0x9E3779B97F4A7C15 ^
-		uint64(int64(host)*1_000_003+int64(core)*7919+0x5851F42D)*0xC2B2AE3D27D4EB4F
-	x ^= x >> 29
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 32
-	return int64(x & (1<<62 - 1))
-}
-
 type reader struct {
+	trace.Batch
+
 	p    Params
 	l    layout
 	host int
@@ -248,32 +231,12 @@ type reader struct {
 	zipfAll  *rand.Zipf
 	zipfOwn  *rand.Zipf
 	ownFiles int64
-	remain   int64
 
 	// Precomputed samplers over rng; opLookup and opScan test one draw.
 	opLookup, opScan, own trace.Bernoulli
 	scanLen               trace.Geometric
 
-	buf []trace.Record
-	pos int
-
 	cursors map[int64]int64 // per-file append cursor (extent lines)
-}
-
-// Next implements trace.Reader.
-func (r *reader) Next() (trace.Record, bool) {
-	if r.remain <= 0 {
-		return trace.Record{}, false
-	}
-	for r.pos >= len(r.buf) {
-		r.buf = r.buf[:0]
-		r.pos = 0
-		r.op()
-	}
-	rec := r.buf[r.pos]
-	r.pos++
-	r.remain--
-	return rec, true
 }
 
 // op executes one filesystem operation against a zipf-picked file.
@@ -294,10 +257,10 @@ func (r *reader) op() {
 // hot-file-is-hot-for-everyone scramble the statistical generators use.
 func (r *reader) pickFile() int64 {
 	if r.l.files >= int64(r.l.hosts) && r.own.Draw(r.rng) {
-		rank := r.pick(r.zipfOwn, r.ownFiles)
-		return int64(r.host) + scramble(rank, r.ownFiles)*int64(r.l.hosts)
+		rank := r.rng.Pick(r.zipfOwn, r.ownFiles)
+		return int64(r.host) + trace.Scramble(rank, r.ownFiles)*int64(r.l.hosts)
 	}
-	return scramble(r.pick(r.zipfAll, r.l.files), r.l.files)
+	return trace.Scramble(r.rng.Pick(r.zipfAll, r.l.files), r.l.files)
 }
 
 // lookup resolves a path: a hot directory line, then the dependent inode,
@@ -337,70 +300,10 @@ func (r *reader) append(f int64) {
 	r.cursors[f] = cur + int64(r.p.AppendLines)
 }
 
-func (r *reader) pick(z *rand.Zipf, n int64) int64 {
-	if z != nil {
-		return int64(z.Uint64())
-	}
-	return r.rng.Int63n(n)
-}
-
-// scramble spreads popularity ranks across n with a fixed multiplicative
-// permutation.
-func scramble(rank, n int64) int64 {
-	const prime = 2654435761
-	return (rank*prime + n/2) % n
-}
-
 func (r *reader) emit(addr config.Addr, write, dep bool) {
 	gap := uint32(0)
 	if r.p.GapMean > 0 {
 		gap = uint32(r.rng.Intn(r.p.GapMean*2 + 1))
 	}
-	r.buf = append(r.buf, trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep})
-}
-
-// Counts is the region-classified profile of a full multi-core trace.
-type Counts struct {
-	Records      int64
-	Instructions int64
-	MetaReads    int64
-	MetaWrites   int64
-	DataReads    int64
-	DataWrites   int64
-}
-
-// Profile drains fresh readers for every (host, core) of a cluster and
-// classifies each access against the metadata/data boundary — the trace-side
-// reconstruction the validation relations compare simulations against.
-func Profile(p Params, am config.AddressMap, hosts, cores int, records, seed int64) (Counts, error) {
-	if err := p.Validate(); err != nil {
-		return Counts{}, err
-	}
-	boundary := MetaBoundary(p, am, hosts)
-	var c Counts
-	for h := 0; h < hosts; h++ {
-		for core := 0; core < cores; core++ {
-			r := New(p, am, hosts, h, core, records, seed)
-			for {
-				rec, ok := r.Next()
-				if !ok {
-					break
-				}
-				c.Records++
-				c.Instructions += int64(rec.Gap) + 1
-				meta := rec.Addr < boundary
-				switch {
-				case meta && rec.Write:
-					c.MetaWrites++
-				case meta:
-					c.MetaReads++
-				case rec.Write:
-					c.DataWrites++
-				default:
-					c.DataReads++
-				}
-			}
-		}
-	}
-	return c, nil
+	r.Emit(trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep})
 }

@@ -142,19 +142,18 @@ func TestHotLinesContendedFromAllHosts(t *testing.T) {
 
 func TestMixShape(t *testing.T) {
 	am := testMap(t)
-	c, err := Profile(Default(), am, 4, 2, 20000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Default()
+	c := trace.Profile(4, 2, MetaBoundary(p, am, 4),
+		func(h, core int) trace.Reader { return New(p, am, 4, h, core, 20000, 1) })
 	if c.Records != 4*2*20000 {
 		t.Fatalf("Records = %d", c.Records)
 	}
-	if c.MetaReads == 0 || c.MetaWrites == 0 || c.DataReads == 0 || c.DataWrites == 0 {
+	if c.BelowReads == 0 || c.BelowWrites == 0 || c.AboveReads == 0 || c.AboveWrites == 0 {
 		t.Fatalf("missing traffic class: %+v", c)
 	}
 	// Data is cold relative to the metadata index: scans stream it but the
 	// hot CAS/lookup traffic concentrates on metadata lines.
-	if c.MetaReads < c.DataWrites {
+	if c.BelowReads < c.AboveWrites {
 		t.Fatalf("metadata should dominate over append payload: %+v", c)
 	}
 	if c.Instructions < c.Records {
@@ -213,12 +212,5 @@ func TestNewPanicsOnBadArgs(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestProfileRejectsInvalid(t *testing.T) {
-	am := testMap(t)
-	if _, err := Profile(Params{}, am, 4, 1, 10, 1); err == nil {
-		t.Fatal("invalid params accepted")
 	}
 }

@@ -14,7 +14,8 @@ package gapbs
 
 import (
 	"fmt"
-	"math/rand"
+
+	"pipm/internal/trace"
 )
 
 // Graph is a directed graph in compressed-sparse-row form.
@@ -40,7 +41,7 @@ func Kronecker(scale, degree int, seed int64) *Graph {
 	if degree < 1 {
 		panic("gapbs: degree must be ≥ 1")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := trace.NewSource(seed)
 	n := int64(1) << uint(scale)
 	m := n * int64(degree)
 
@@ -89,7 +90,7 @@ func Uniform(scale, degree int, seed int64) *Graph {
 	if scale < 1 || scale > 30 {
 		panic(fmt.Sprintf("gapbs: scale %d out of range", scale))
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := trace.NewSource(seed)
 	n := int64(1) << uint(scale)
 	offsets := make([]int64, n+1)
 	edges := make([]int64, 0, n*int64(degree))

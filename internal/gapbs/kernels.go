@@ -2,7 +2,6 @@ package gapbs
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pipm/internal/config"
 	"pipm/internal/trace"
@@ -93,25 +92,29 @@ func (l *Layout) NewReader(k Kernel, host, core, cores int, records, seed int64)
 		panic(fmt.Sprintf("gapbs: host %d out of range", host))
 	}
 	lo, hi := l.ownerRange(host, core, cores)
-	return &kernelReader{
+	r := &kernelReader{
 		l: l, k: k,
 		lo: lo, hi: hi,
-		rng:    rand.New(rand.NewSource(seed ^ int64(host)<<20 ^ int64(core)<<8 ^ int64(k))),
-		remain: records,
+		rng:    trace.NewSource(seed ^ int64(host)<<20 ^ int64(core)<<8 ^ int64(k)),
 		run:    int64(seed) + 1,
+		values: make([]int64, l.g.N),
 	}
+	r.Batch = trace.NewBatch(records, r.fill)
+	r.reset()
+	return r
 }
 
-// kernelReader executes iterations of the kernel, buffering the records one
+// kernelReader executes iterations of the kernel, emitting the records one
 // owned vertex produces at a time.
 type kernelReader struct {
+	trace.Batch
+
 	l      *Layout
 	k      Kernel
 	lo, hi int64
 
-	rng    *rand.Rand
-	remain int64
-	run    int64 // restart counter → new BFS/SSSP roots
+	rng *trace.Source
+	run int64 // restart counter → new BFS/SSSP roots
 
 	// Algorithm state (whole-graph: every reader recomputes the global
 	// algorithm deterministically and emits only its slice's accesses).
@@ -119,56 +122,26 @@ type kernelReader struct {
 	level  int64
 	cursor int64 // next owned vertex to process this iteration
 	active bool  // any update happened this iteration (global, derived)
-
-	buf []trace.Record
-	pos int
 }
 
-// Next implements trace.Reader.
-func (r *kernelReader) Next() (trace.Record, bool) {
-	if r.remain <= 0 {
-		return trace.Record{}, false
-	}
-	for r.pos >= len(r.buf) {
-		if !r.refill() {
-			return trace.Record{}, false
+// fill processes the next owned vertex, or closes the iteration when the
+// slice is done.
+func (r *kernelReader) fill() {
+	if r.cursor >= r.hi {
+		// Iteration boundary: advance the global algorithm state.
+		if !r.advanceIteration() {
+			r.reset() // converged: restart with a new root
 		}
+		return
 	}
-	rec := r.buf[r.pos]
-	r.pos++
-	r.remain--
-	return rec, true
-}
-
-// refill produces the next vertex's access records.
-func (r *kernelReader) refill() bool {
-	if r.values == nil {
-		r.reset()
-	}
-	r.buf = r.buf[:0]
-	r.pos = 0
-
-	for len(r.buf) == 0 {
-		if r.cursor >= r.hi {
-			// Iteration boundary: advance the global algorithm state.
-			if !r.advanceIteration() {
-				r.reset() // converged: restart with a new root
-			}
-			continue
-		}
-		v := r.cursor
-		r.cursor++
-		r.emitVertex(v)
-	}
-	return true
+	v := r.cursor
+	r.cursor++
+	r.emitVertex(v)
 }
 
 // reset starts a fresh run of the algorithm.
 func (r *kernelReader) reset() {
 	g := r.l.g
-	if r.values == nil {
-		r.values = make([]int64, g.N)
-	}
 	const inf = int64(1) << 62
 	switch r.k {
 	case PageRank:
@@ -266,5 +239,5 @@ func (r *kernelReader) emitVertex(v int64) {
 
 func (r *kernelReader) emit(addr config.Addr, write, dep bool) {
 	gap := uint32(r.rng.Intn(9) + 2) // few ALU ops between memory touches
-	r.buf = append(r.buf, trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep})
+	r.Emit(trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep})
 }

@@ -145,9 +145,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// minZipfS is the smallest usable skew for math/rand's Zipf (requires > 1).
-const minZipfS = 1.05
-
 // layout is the shared-heap carve for one (params, address map, hosts)
 // tuple: identical on every host and core.
 type layout struct {
@@ -213,7 +210,7 @@ type session struct {
 // New returns the deterministic record stream of host h / core c. The RNG is
 // derived from (seed, host, core) exactly as the statistical generators
 // derive theirs, so a validation pass can reconstruct the identical stream
-// with Profile.
+// with trace.Profile.
 func New(p Params, am config.AddressMap, hosts, host, core int, records, seed int64) trace.Reader {
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -225,55 +222,37 @@ func New(p Params, am config.AddressMap, hosts, host, core int, records, seed in
 		p:       p,
 		l:       newLayout(p, am, hosts),
 		host:    host,
-		rng:     trace.NewSource(mix(seed, host, core)),
-		remain:  records,
+		rng:     trace.NewSource(trace.CoreSeed(seed, 0, host, core)),
 		burst:   trace.NewGeometric(p.BurstMean - 1),
 		arrival: trace.NewGeometric(p.ArrivalMean - 1),
 		tokens:  trace.NewGeometric(float64(p.DecodeTokens - 1)),
 		migrate: trace.NewBernoulli(p.MigrateFrac),
 		shard:   trace.NewBernoulli(p.ShardFrac),
 	}
-	r.zr = rand.New(r.rng)
+	r.Batch = trace.NewBatch(records, r.step)
 	if s := p.WeightZipfS; s > 0 && r.l.weightPages > 1 {
-		if s < minZipfS {
-			s = minZipfS
-		}
-		r.zipfGlobal = rand.NewZipf(r.zr, s, 1, uint64(r.l.weightPages-1))
+		r.zipfGlobal = trace.NewZipf(r.rng, s, r.l.weightPages)
 		if r.l.shardPages > 1 {
-			r.zipfShard = rand.NewZipf(r.zr, s, 1, uint64(r.l.shardPages-1))
+			r.zipfShard = trace.NewZipf(r.rng, s, r.l.shardPages)
 		}
 	}
 	return r
 }
 
-// mix folds (seed, host, core) into one RNG seed — the same per-core seam
-// shape the statistical generators use.
-func mix(seed int64, host, core int) int64 {
-	x := uint64(seed)*0x9E3779B97F4A7C15 ^
-		uint64(int64(host)*1_000_003+int64(core)*7919)*0xC2B2AE3D27D4EB4F
-	x ^= x >> 29
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 32
-	return int64(x & (1<<62 - 1))
-}
-
 type reader struct {
+	trace.Batch
+
 	p    Params
 	l    layout
 	host int
 
 	rng        *trace.Source
-	zr         *rand.Rand // rng as the zipf samplers draw from it
 	zipfGlobal *rand.Zipf
 	zipfShard  *rand.Zipf
-	remain     int64
 
 	// Precomputed samplers over rng.
 	burst, arrival, tokens trace.Geometric
 	migrate, shard         trace.Bernoulli
-
-	buf []trace.Record
-	pos int
 
 	active    []*session
 	zipfRank  []*rand.Zipf // by active-session count; built on first use
@@ -281,22 +260,6 @@ type reader struct {
 	nextHome  int64        // round-robin cursor over the home slot class
 	scanPage  int64        // idle-scan position within the own shard
 	scanLine  int
-}
-
-// Next implements trace.Reader.
-func (r *reader) Next() (trace.Record, bool) {
-	if r.remain <= 0 {
-		return trace.Record{}, false
-	}
-	for r.pos >= len(r.buf) {
-		r.buf = r.buf[:0]
-		r.pos = 0
-		r.step()
-	}
-	rec := r.buf[r.pos]
-	r.pos++
-	r.remain--
-	return rec, true
 }
 
 // step executes one scheduler step: possibly an arrival burst, then one
@@ -370,7 +333,7 @@ func (r *reader) pickSession() *session {
 	if n == 1 {
 		return r.active[0]
 	}
-	var rank int64
+	var z *rand.Zipf
 	if s := r.p.SessionZipfS; s > 0 {
 		// NewZipf only derives constants from (s, n) and draws nothing, so
 		// one sampler per session count yields the same stream as building
@@ -378,18 +341,12 @@ func (r *reader) pickSession() *session {
 		for len(r.zipfRank) <= n {
 			r.zipfRank = append(r.zipfRank, nil)
 		}
-		z := r.zipfRank[n]
-		if z == nil {
-			if s < minZipfS {
-				s = minZipfS
-			}
-			z = rand.NewZipf(r.zr, s, 1, uint64(n-1))
-			r.zipfRank[n] = z
+		if r.zipfRank[n] == nil {
+			r.zipfRank[n] = trace.NewZipf(r.rng, s, int64(n))
 		}
-		rank = int64(z.Uint64())
-	} else {
-		rank = r.rng.Int63n(int64(n))
+		z = r.zipfRank[n]
 	}
+	rank := r.rng.Pick(z, int64(n))
 	return r.active[n-1-int(rank)]
 }
 
@@ -420,10 +377,10 @@ func (r *reader) decode(s *session) {
 func (r *reader) weightToken() {
 	var page int64
 	if r.shard.Draw(r.rng) {
-		page = r.l.shardStart(r.host) + r.pick(r.zipfShard, r.l.shardPages)
+		page = r.l.shardStart(r.host) + r.rng.Pick(r.zipfShard, r.l.shardPages)
 		page %= r.l.weightPages
 	} else {
-		page = scramble(r.pick(r.zipfGlobal, r.l.weightPages), r.l.weightPages)
+		page = trace.Scramble(r.rng.Pick(r.zipfGlobal, r.l.weightPages), r.l.weightPages)
 	}
 	line := r.rng.Intn(config.LinesPerPage)
 	for i := 0; i < r.p.WeightReads; i++ {
@@ -449,73 +406,10 @@ func (r *reader) idleScan() {
 	}
 }
 
-func (r *reader) pick(z *rand.Zipf, n int64) int64 {
-	if z != nil {
-		return int64(z.Uint64())
-	}
-	return r.rng.Int63n(n)
-}
-
-// scramble spreads popularity ranks across the region with a fixed
-// multiplicative permutation — the same hot-key-is-hot-for-everyone mapping
-// the statistical generators use.
-func scramble(rank, n int64) int64 {
-	const prime = 2654435761
-	return (rank*prime + n/2) % n
-}
-
 func (r *reader) emit(addr config.Addr, write, dep bool) {
 	gap := uint32(0)
 	if r.p.GapMean > 0 {
 		gap = uint32(r.rng.Intn(r.p.GapMean*2 + 1))
 	}
-	r.buf = append(r.buf, trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep})
-}
-
-// Counts is the region-classified profile of a full multi-core trace.
-type Counts struct {
-	Records      int64
-	Instructions int64
-	WeightReads  int64
-	WeightWrites int64
-	KVReads      int64
-	KVWrites     int64
-}
-
-// Profile drains fresh readers for every (host, core) of a cluster and
-// classifies each access against the weight/KV boundary. Because New derives
-// its RNG from (seed, host, core) alone, the profile is exactly the trace a
-// simulation with the same tuple consumes — the trace-side half of the
-// weight-read scheme-invariance relation.
-func Profile(p Params, am config.AddressMap, hosts, cores int, records, seed int64) (Counts, error) {
-	if err := p.Validate(); err != nil {
-		return Counts{}, err
-	}
-	boundary := WeightBoundary(p, am, hosts)
-	var c Counts
-	for h := 0; h < hosts; h++ {
-		for core := 0; core < cores; core++ {
-			r := New(p, am, hosts, h, core, records, seed)
-			for {
-				rec, ok := r.Next()
-				if !ok {
-					break
-				}
-				c.Records++
-				c.Instructions += int64(rec.Gap) + 1
-				weight := rec.Addr < boundary
-				switch {
-				case weight && rec.Write:
-					c.WeightWrites++
-				case weight:
-					c.WeightReads++
-				case rec.Write:
-					c.KVWrites++
-				default:
-					c.KVReads++
-				}
-			}
-		}
-	}
-	return c, nil
+	r.Emit(trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep})
 }

@@ -141,20 +141,19 @@ func TestIdleScanIsReadOnlyOwnShard(t *testing.T) {
 
 func TestServingMixShape(t *testing.T) {
 	am := testMap(t)
-	c, err := Profile(Default(), am, 4, 2, 20000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Default()
+	c := trace.Profile(4, 2, WeightBoundary(p, am, 4),
+		func(h, core int) trace.Reader { return New(p, am, 4, h, core, 20000, 1) })
 	if c.Records != 4*2*20000 {
 		t.Fatalf("Records = %d", c.Records)
 	}
-	if c.WeightWrites != 0 {
-		t.Fatalf("weights are read-only, got %d writes", c.WeightWrites)
+	if c.BelowWrites != 0 {
+		t.Fatalf("weights are read-only, got %d writes", c.BelowWrites)
 	}
-	if c.WeightReads == 0 || c.KVReads == 0 || c.KVWrites == 0 {
+	if c.BelowReads == 0 || c.AboveReads == 0 || c.AboveWrites == 0 {
 		t.Fatalf("missing traffic class: %+v", c)
 	}
-	if c.KVWrites <= c.WeightWrites {
+	if c.AboveWrites <= c.BelowWrites {
 		t.Fatal("KV region should take all the writes")
 	}
 	if c.Instructions < c.Records {
@@ -188,12 +187,5 @@ func TestNewPanicsOnBadArgs(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestProfileRejectsInvalid(t *testing.T) {
-	am := testMap(t)
-	if _, err := Profile(Params{}, am, 4, 1, 10, 1); err == nil {
-		t.Fatal("invalid params accepted")
 	}
 }

@@ -75,16 +75,11 @@ func (s *Store) homeWarehouses(h int) (lo, hi int64) {
 }
 
 // keyIn picks a zipf-ish key within warehouse w.
-func (s *Store) keyIn(w int64, z *rand.Zipf, rng *rand.Rand) int64 {
+func (s *Store) keyIn(w int64, z *rand.Zipf) int64 {
 	per := s.records / s.warehouses
-	var off int64
-	if z != nil {
-		off = int64(z.Uint64()) % per
-		// Spread hot ranks across the warehouse block.
-		off = (off * 2654435761) % per
-	} else {
-		off = rng.Int63n(per)
-	}
+	off := int64(z.Uint64()) % per
+	// Spread hot ranks across the warehouse block.
+	off = (off * 2654435761) % per
 	return w*per + off
 }
 
@@ -113,52 +108,33 @@ func (s *Store) NewReader(o Op, h, c, cores int, records, seed int64) trace.Read
 	if h < 0 || h >= s.hosts {
 		panic(fmt.Sprintf("silo: host %d out of range", h))
 	}
-	rng := rand.New(rand.NewSource(seed ^ int64(h)<<24 ^ int64(c)<<12 ^ int64(o)))
-	r := &opReader{s: s, o: o, host: h, rng: rng, remain: records}
-	r.zipf = rand.NewZipf(rng, 1.05, 1, uint64(s.records/s.warehouses-1))
+	rng := trace.NewSource(seed ^ int64(h)<<24 ^ int64(c)<<12 ^ int64(o))
+	r := &opReader{s: s, host: h, rng: rng, zipf: trace.NewZipf(rng, 1.05, s.records/s.warehouses)}
+	fill := r.tpccTxn
+	if o == YCSB {
+		fill = r.ycsbOp
+	}
+	r.Batch = trace.NewBatch(records, fill)
 	return r
 }
 
 type opReader struct {
+	trace.Batch
+
 	s    *Store
-	o    Op
 	host int
 
-	rng    *rand.Rand
-	zipf   *rand.Zipf
-	remain int64
-
-	buf []trace.Record
-	pos int
+	rng  *trace.Source
+	zipf *rand.Zipf
 
 	nextOrderLine int64 // per-reader append cursor for TPC-C inserts
-}
-
-// Next implements trace.Reader.
-func (r *opReader) Next() (trace.Record, bool) {
-	if r.remain <= 0 {
-		return trace.Record{}, false
-	}
-	for r.pos >= len(r.buf) {
-		r.buf = r.buf[:0]
-		r.pos = 0
-		if r.o == YCSB {
-			r.ycsbOp()
-		} else {
-			r.tpccTxn()
-		}
-	}
-	rec := r.buf[r.pos]
-	r.pos++
-	r.remain--
-	return rec, true
 }
 
 // ycsbOp executes one point operation: directory probe, then a dependent
 // record access; 20% of operations update the record.
 func (r *opReader) ycsbOp() {
 	w := r.rng.Int63n(r.s.warehouses) // whole store: hot keys global
-	key := r.s.keyIn(w, r.zipf, r.rng)
+	key := r.s.keyIn(w, r.zipf)
 	update := r.rng.Intn(5) == 0
 	r.emit(r.s.bucketAddr(key), false, false, 12)
 	for l := 0; l < RecordLines; l++ {
@@ -176,14 +152,14 @@ func (r *opReader) tpccTxn() {
 		w = r.rng.Int63n(r.s.warehouses) // remote warehouse
 	}
 	// Order read.
-	key := r.s.keyIn(w, r.zipf, r.rng)
+	key := r.s.keyIn(w, r.zipf)
 	r.emit(r.s.bucketAddr(key), false, false, 20)
 	r.emit(r.s.recordAddr(key, 0), false, true, 10)
 
 	// Stock read-modify-write, 4–8 items.
 	items := 4 + r.rng.Intn(5)
 	for i := 0; i < items; i++ {
-		k := r.s.keyIn(w, r.zipf, r.rng)
+		k := r.s.keyIn(w, r.zipf)
 		r.emit(r.s.bucketAddr(k), false, false, 10)
 		r.emit(r.s.recordAddr(k, 0), false, true, 6)
 		r.emit(r.s.recordAddr(k, 0), true, true, 6)
@@ -201,5 +177,5 @@ func (r *opReader) tpccTxn() {
 
 func (r *opReader) emit(addr config.Addr, write, dep bool, gapMean int) {
 	gap := uint32(r.rng.Intn(gapMean*2 + 1))
-	r.buf = append(r.buf, trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep})
+	r.Emit(trace.Record{Gap: gap, Addr: addr, Write: write, Dep: dep})
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"pipm/internal/config"
 )
@@ -126,6 +127,10 @@ func (b *BinaryReader) Next() (Record, bool) {
 		if err != io.EOF {
 			b.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
 		}
+		return Record{}, false
+	}
+	if head>>2 > math.MaxUint32 {
+		b.err = fmt.Errorf("%w: gap %d does not fit 32 bits", ErrBadFormat, head>>2)
 		return Record{}, false
 	}
 	delta, err := binary.ReadVarint(b.r)

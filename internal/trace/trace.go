@@ -45,33 +45,6 @@ func (r *SliceReader) Next() (Record, bool) {
 	return rec, true
 }
 
-// Reset rewinds the reader to the start of the slice.
-func (r *SliceReader) Reset() { r.pos = 0 }
-
-// Limit wraps a Reader and stops after n records, letting the harness bound
-// simulation length uniformly across workloads.
-type Limit struct {
-	r    Reader
-	left int64
-}
-
-// NewLimit returns a Reader that yields at most n records from r.
-func NewLimit(r Reader, n int64) *Limit { return &Limit{r: r, left: n} }
-
-// Next implements Reader.
-func (l *Limit) Next() (Record, bool) {
-	if l.left <= 0 {
-		return Record{}, false
-	}
-	rec, ok := l.r.Next()
-	if !ok {
-		l.left = 0
-		return Record{}, false
-	}
-	l.left--
-	return rec, true
-}
-
 // Stats summarizes a record stream.
 type Stats struct {
 	Records      int64

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -35,36 +36,6 @@ func TestSliceReader(t *testing.T) {
 	}
 	if _, ok := r.Next(); ok {
 		t.Fatal("Next past end returned ok")
-	}
-	r.Reset()
-	if got, ok := r.Next(); !ok || got != recs[0] {
-		t.Fatal("Reset did not rewind")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	r := NewLimit(NewSliceReader(mkRecords(100, 2)), 7)
-	n := 0
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 7 {
-		t.Fatalf("Limit yielded %d records, want 7", n)
-	}
-	// Limit larger than the stream drains cleanly.
-	r2 := NewLimit(NewSliceReader(mkRecords(3, 3)), 100)
-	n = 0
-	for {
-		if _, ok := r2.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("Limit over short stream yielded %d, want 3", n)
 	}
 }
 
@@ -143,6 +114,19 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	}
 	if r.Err() == nil {
 		t.Fatal("truncation not reported via Err")
+	}
+	// A gap wider than Record.Gap's 32 bits is rejected, not truncated.
+	wide := binary.AppendUvarint(append(magic[:], formatVersion), (1<<32)<<2)
+	wide = binary.AppendVarint(wide, 1)
+	r, err = NewBinaryReader(bytes.NewReader(wide))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := r.Next(); ok {
+		t.Fatalf("33-bit gap decoded as %+v", rec)
+	}
+	if !errors.Is(r.Err(), ErrBadFormat) {
+		t.Fatalf("33-bit gap: Err = %v, want ErrBadFormat", r.Err())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"pipm/internal/harness"
 	"pipm/internal/llmserve"
 	"pipm/internal/migration"
+	"pipm/internal/trace"
 	"pipm/internal/workload"
 )
 
@@ -238,15 +239,13 @@ var Relations = []Relation{
 			am := config.NewAddressMap(&o.Cfg)
 			// The trace-side half: drain the exact readers the simulations
 			// consume and classify every access against the weight boundary.
-			counts, err := llmserve.Profile(wl.Serve, am, o.Cfg.Hosts, o.Cfg.CoresPerHost,
-				o.RecordsPerCore, o.Seed)
-			if err != nil {
-				return "", infra(err)
+			hosts := o.Cfg.Hosts
+			counts := trace.Profile(hosts, o.Cfg.CoresPerHost, llmserve.WeightBoundary(wl.Serve, am, hosts),
+				func(h, c int) trace.Reader { return wl.NewReader(am, hosts, h, c, o.RecordsPerCore, o.Seed) })
+			if counts.BelowWrites != 0 {
+				return "", fmt.Errorf("llmserve trace wrote the weight region %d times", counts.BelowWrites)
 			}
-			if counts.WeightWrites != 0 {
-				return "", fmt.Errorf("llmserve trace wrote the weight region %d times", counts.WeightWrites)
-			}
-			if counts.WeightReads == 0 {
+			if counts.BelowReads == 0 {
 				return "", fmt.Errorf("llmserve trace never read the weight region (%+v)", counts)
 			}
 			// The machine-side half: a scheme migrates and stalls, but it
@@ -265,7 +264,7 @@ var Relations = []Relation{
 						k, r.Instructions, counts.Instructions)
 				}
 			}
-			return fmt.Sprintf("%d weight reads, 0 weight writes, invariant across %d schemes", counts.WeightReads, runs), nil
+			return fmt.Sprintf("%d weight reads, 0 weight writes, invariant across %d schemes", counts.BelowReads, runs), nil
 		},
 	},
 	{

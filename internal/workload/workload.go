@@ -172,14 +172,11 @@ func Names() []string {
 // stackBytes is the per-core private stack window generators touch.
 const stackBytes = 64 << 10
 
-// minZipfS is the smallest usable skew for math/rand's Zipf (requires >1).
-const minZipfS = 1.05
-
 // NewReader builds the deterministic record stream for one core. Mechanistic
 // presets (Serve/FS) dispatch to their generator, which derives its RNG from
 // (seed, host, core) alone so validation passes can reconstruct the stream;
-// statistical presets keep the name-salted seam below, byte-identical to
-// their pre-mechanistic encoding.
+// statistical presets salt the per-core seed with the preset name,
+// byte-identical to their pre-mechanistic encoding.
 func (p Params) NewReader(am config.AddressMap, hosts, host, core int, records int64, seed int64) trace.Reader {
 	if p.Serve.Enabled() {
 		return llmserve.New(p.Serve, am, hosts, host, core, records, seed)
@@ -190,14 +187,13 @@ func (p Params) NewReader(am config.AddressMap, hosts, host, core int, records i
 	if host < 0 || host >= hosts {
 		panic(fmt.Sprintf("workload: host %d out of range", host))
 	}
-	mix := fnv(seed, int64(host)*1_000_003+int64(core)*7919+hash64(p.Name))
 	g := &genReader{
 		p:      p,
 		am:     am,
 		hosts:  hosts,
 		host:   host,
 		core:   core,
-		rng:    trace.NewSource(mix),
+		rng:    trace.NewSource(trace.CoreSeed(seed, hash64(p.Name), host, core)),
 		remain: records,
 	}
 	g.init()
@@ -213,18 +209,11 @@ func hash64(s string) int64 {
 	return int64(h & (1<<62 - 1))
 }
 
-func fnv(a, b int64) int64 {
-	x := uint64(a)*0x9E3779B97F4A7C15 ^ uint64(b)*0xC2B2AE3D27D4EB4F
-	x ^= x >> 29
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 32
-	return int64(x & (1<<62 - 1))
-}
-
 // genReader produces the stream. Region choice → page choice (zipf or
 // uniform) → line within page, with geometric sequential runs. Every
 // probability is a threshold precomputed from Params, so Next draws the
-// same values math/rand's Float64 comparisons would.
+// same values math/rand's Float64 comparisons would. Each call yields one
+// record, so the reader needs no trace.Batch buffer.
 type genReader struct {
 	p     Params
 	am    config.AddressMap
@@ -261,12 +250,8 @@ func (g *genReader) init() {
 		g.partPages = 1
 	}
 	if s := g.p.ZipfS; s > 0 {
-		if s < minZipfS {
-			s = minZipfS
-		}
-		zr := rand.New(g.rng)
-		g.zipfOwn = rand.NewZipf(zr, s, 1, uint64(g.partPages-1))
-		g.zipfAll = rand.NewZipf(zr, s, 1, uint64(g.allPages-1))
+		g.zipfOwn = trace.NewZipf(g.rng, s, g.partPages)
+		g.zipfAll = trace.NewZipf(g.rng, s, g.allPages)
 	}
 	g.gap = trace.NewGeometric(float64(g.p.GapMean))
 	g.run = trace.NewGeometric(g.p.RunLen - 1)
@@ -319,12 +304,12 @@ func (g *genReader) Next() (trace.Record, bool) {
 	switch {
 	case g.ownRegion.Hit(u):
 		own = true
-		page = int64(effHost)*g.partPages + scramble(g.pick(g.zipfOwn, g.partPages), g.partPages)
+		page = int64(effHost)*g.partPages + trace.Scramble(g.rng.Pick(g.zipfOwn, g.partPages), g.partPages)
 	case g.spillRegion.Hit(u):
 		neighbour := (effHost + 1) % g.hosts
-		page = int64(neighbour)*g.partPages + scramble(g.pick(g.zipfOwn, g.partPages), g.partPages)
+		page = int64(neighbour)*g.partPages + trace.Scramble(g.rng.Pick(g.zipfOwn, g.partPages), g.partPages)
 	default:
-		page = scramble(g.pick(g.zipfAll, g.allPages), g.allPages)
+		page = trace.Scramble(g.rng.Pick(g.zipfAll, g.allPages), g.allPages)
 	}
 	lineInPage := g.rng.Intn(config.LinesPerPage)
 	addr := g.am.SharedAddr(config.Addr(page)*config.PageBytes + config.Addr(lineInPage*config.LineBytes))
@@ -344,20 +329,4 @@ func (g *genReader) nextLine(a config.Addr) config.Addr {
 		return n
 	}
 	return a // stay on the last line at the region edge
-}
-
-// scramble maps popularity rank → page index with a fixed multiplicative
-// permutation, so hot pages spread across the region instead of clustering
-// at its start. The mapping is the same for every host: a hot key is hot
-// for everyone (YCSB/canneal contention is real contention).
-func scramble(rank, n int64) int64 {
-	const prime = 2654435761 // Knuth multiplicative hash
-	return (rank*prime + n/2) % n
-}
-
-func (g *genReader) pick(z *rand.Zipf, n int64) int64 {
-	if z != nil {
-		return int64(z.Uint64())
-	}
-	return g.rng.Int63n(n)
 }
