@@ -3,7 +3,8 @@
 // write-back/write-allocate semantics, and per-line coherence state. The
 // coherence layer owns state meaning; the cache is just the indexed store.
 // Eviction results are returned to the caller — that return value is the
-// hook PIPM's incremental migration rides on.
+// hook PIPM's incremental migration rides on. Recency, the one-word-per-set
+// LRU order, also orders the device directory, remap caches and TLBs.
 package cache
 
 import (
@@ -70,16 +71,14 @@ type Stats struct {
 // Cache is one set-associative cache level.
 //
 // A way's tag and state are packed into one key, line<<3 | state, with 0
-// meaning invalid (DESIGN.md §16.3); LRU stamps live in a parallel array.
-// A probe scans only the keys, so a 16-way set costs two host cache lines
-// instead of six.
+// meaning invalid, and each set's LRU order is one Recency word
+// (DESIGN.md §16.3). A probe scans only the keys, so a 16-way set costs
+// two host cache lines.
 type Cache struct {
-	name    string
 	ways    int
 	setMask config.Addr
 	keys    []uint64 // sets*ways, flat; line<<stateBits | state, 0 = invalid
-	lru     []uint64 // sets*ways, flat; meaningful only for valid ways
-	tick    uint64
+	rec     Recency
 	stats   Stats
 }
 
@@ -93,41 +92,41 @@ func keyLine(k uint64) config.Addr { return config.Addr(k >> stateBits) }
 func keyState(k uint64) State { return State(k & (1<<stateBits - 1)) }
 
 // New builds a cache from its configuration. The set count must be a power
-// of two (config.Validate enforces this).
+// of two and the associativity at most config.MaxWays (config.Validate
+// enforces both).
 func New(name string, cfg config.CacheConfig) *Cache {
 	sets := cfg.Sets()
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: %d sets is not a positive power of two", name, sets))
 	}
 	return &Cache{
-		name:    name,
 		ways:    cfg.Ways,
 		setMask: config.Addr(sets - 1),
 		keys:    make([]uint64, sets*cfg.Ways),
-		lru:     make([]uint64, sets*cfg.Ways),
+		rec:     NewRecency(sets, cfg.Ways),
 	}
 }
 
-// find returns the flat index of lineAddr's valid way, or -1.
-func (c *Cache) find(lineAddr config.Addr) int {
-	base := int(lineAddr&c.setMask) * c.ways
+// find returns lineAddr's set and the way in it holding the line, or -1.
+func (c *Cache) find(lineAddr config.Addr) (set, way int) {
+	set = int(lineAddr & c.setMask)
+	base := set * c.ways
 	want := uint64(lineAddr) << stateBits
 	for i, k := range c.keys[base : base+c.ways] {
 		if k^want < 1<<stateBits && k != 0 {
-			return base + i
+			return set, i
 		}
 	}
-	return -1
+	return set, -1
 }
 
 // Lookup probes for lineAddr. On a hit it refreshes LRU and returns the
 // current state; on a miss it returns (Invalid, false).
 func (c *Cache) Lookup(lineAddr config.Addr) (State, bool) {
-	if i := c.find(lineAddr); i >= 0 {
-		c.tick++
-		c.lru[i] = c.tick
+	if set, w := c.find(lineAddr); w >= 0 {
+		c.rec.Touch(set, w)
 		c.stats.Hits++
-		return keyState(c.keys[i]), true
+		return keyState(c.keys[set*c.ways+w]), true
 	}
 	c.stats.Misses++
 	return Invalid, false
@@ -135,8 +134,8 @@ func (c *Cache) Lookup(lineAddr config.Addr) (State, bool) {
 
 // Peek probes without touching LRU or statistics (directory queries).
 func (c *Cache) Peek(lineAddr config.Addr) (State, bool) {
-	if i := c.find(lineAddr); i >= 0 {
-		return keyState(c.keys[i]), true
+	if set, w := c.find(lineAddr); w >= 0 {
+		return keyState(c.keys[set*c.ways+w]), true
 	}
 	return Invalid, false
 }
@@ -144,34 +143,31 @@ func (c *Cache) Peek(lineAddr config.Addr) (State, bool) {
 // Fill installs lineAddr in state st, returning the eviction it displaced
 // (ok=false when an invalid way was available). Filling a line that is
 // already present just updates its state. One pass over the set finds the
-// line if present, else the first invalid way, else the LRU way.
+// line if present, else the first invalid way; a full set evicts its LRU
+// way.
 func (c *Cache) Fill(lineAddr config.Addr, st State) (ev Eviction, evicted bool) {
 	if st == Invalid {
 		panic("cache: Fill with Invalid state")
 	}
-	base := int(lineAddr&c.setMask) * c.ways
-	keys, lru := c.keys[base:base+c.ways], c.lru[base:base+c.ways]
+	set := int(lineAddr & c.setMask)
+	keys := c.keys[set*c.ways : (set+1)*c.ways]
 	want := uint64(lineAddr) << stateBits
-	c.tick++
-	free, oldest := -1, -1
+	victim := -1
 	for i, k := range keys {
 		switch {
 		case k == 0:
-			if free < 0 {
-				free = i
+			if victim < 0 {
+				victim = i
 			}
 		case k^want < 1<<stateBits:
 			// Already present: state upgrade/downgrade in place.
 			keys[i] = want | uint64(st)
-			lru[i] = c.tick
+			c.rec.Touch(set, i)
 			return Eviction{}, false
-		case oldest < 0 || lru[i] < lru[oldest]:
-			oldest = i
 		}
 	}
-	victim := free
 	if victim < 0 {
-		victim = oldest
+		victim = c.rec.LRU(set)
 		ev = Eviction{Line: keyLine(keys[victim]), State: keyState(keys[victim])}
 		evicted = true
 		c.stats.Evictions++
@@ -180,7 +176,7 @@ func (c *Cache) Fill(lineAddr config.Addr, st State) (ev Eviction, evicted bool)
 		}
 	}
 	keys[victim] = want | uint64(st)
-	lru[victim] = c.tick
+	c.rec.Touch(set, victim)
 	c.stats.Fills++
 	return ev, evicted
 }
@@ -188,14 +184,14 @@ func (c *Cache) Fill(lineAddr config.Addr, st State) (ev Eviction, evicted bool)
 // SetState changes the state of a resident line; it reports whether the
 // line was present.
 func (c *Cache) SetState(lineAddr config.Addr, st State) bool {
-	i := c.find(lineAddr)
-	if i < 0 {
+	set, w := c.find(lineAddr)
+	if w < 0 {
 		return false
 	}
 	if st == Invalid {
-		c.keys[i] = 0
+		c.keys[set*c.ways+w] = 0
 	} else {
-		c.keys[i] = key(lineAddr, st)
+		c.keys[set*c.ways+w] = key(lineAddr, st)
 	}
 	return true
 }
@@ -203,35 +199,25 @@ func (c *Cache) SetState(lineAddr config.Addr, st State) bool {
 // Invalidate drops lineAddr, returning its state at invalidation so the
 // caller can issue a writeback for dirty data.
 func (c *Cache) Invalidate(lineAddr config.Addr) (State, bool) {
-	i := c.find(lineAddr)
-	if i < 0 {
+	set, w := c.find(lineAddr)
+	if w < 0 {
 		return Invalid, false
 	}
+	i := set*c.ways + w
 	st := keyState(c.keys[i])
 	c.keys[i] = 0
 	return st, true
 }
 
-// InvalidateAll drops every line, invoking fn (when non-nil) for each valid
-// line first. Used for whole-page remap invalidations and test teardown.
-func (c *Cache) InvalidateAll(fn func(config.Addr, State)) {
-	for i, k := range c.keys {
-		if k != 0 {
-			if fn != nil {
-				fn(keyLine(k), keyState(k))
-			}
-			c.keys[i] = 0
-		}
-	}
-}
-
 // InvalidatePage drops every resident line of the given page, invoking fn
-// for each valid line dropped. Page-granularity migration uses this.
+// for each valid line dropped. Page-granularity migration and PIPM's
+// revocation of a partially migrated page use this.
 func (c *Cache) InvalidatePage(page config.Addr, fn func(config.Addr, State)) {
 	base := page << config.PageLineShift
 	for l := config.Addr(0); l < config.LinesPerPage; l++ {
 		lineAddr := base + l
-		if i := c.find(lineAddr); i >= 0 {
+		if set, w := c.find(lineAddr); w >= 0 {
+			i := set*c.ways + w
 			if fn != nil {
 				fn(lineAddr, keyState(c.keys[i]))
 			}
@@ -264,6 +250,3 @@ func (c *Cache) Occupancy() int {
 
 // Stats returns accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Name returns the cache's diagnostic name.
-func (c *Cache) Name() string { return c.name }

@@ -160,17 +160,6 @@ func TestInvalidatePage(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
-	c := small()
-	c.Fill(1, Shared)
-	c.Fill(2, Modified)
-	n := 0
-	c.InvalidateAll(func(config.Addr, State) { n++ })
-	if n != 2 || c.Occupancy() != 0 {
-		t.Fatalf("InvalidateAll dropped %d, occupancy %d", n, c.Occupancy())
-	}
-}
-
 func TestPeekDoesNotPerturb(t *testing.T) {
 	c := small()
 	c.Fill(0, Shared)
@@ -247,4 +236,13 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 		}
 	}()
 	New("bad", config.CacheConfig{SizeBytes: 3 * config.LineBytes, Ways: 1})
+}
+
+func TestNewRejectsWideSets(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for 17 ways")
+		}
+	}()
+	New("wide", config.CacheConfig{SizeBytes: 4 * 17 * config.LineBytes, Ways: 17})
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // refCache is the array-of-structs cache the packed-key layout replaced:
-// one {tag, state, lru} record per way, searched in separate passes. It is
-// kept as an executable specification; TestPackedMatchesReference drives
-// both with the same operation streams.
+// one {tag, state, lru} record per way, searched in separate passes, with
+// a per-cache LRU clock stamped on every touch and a min-scan for the
+// victim. It is kept as an executable specification;
+// TestPackedMatchesReference drives both with the same operation streams.
 type refCache struct {
 	ways    int
 	setMask config.Addr
@@ -158,11 +159,12 @@ type dropped struct {
 // packed key is just its state). Every return value, eviction, drop
 // callback, the final contents and the Stats must agree.
 func TestPackedMatchesReference(t *testing.T) {
-	geoms := []config.CacheConfig{
-		{SizeBytes: 4 * 2 * config.LineBytes, Ways: 2},
-		{SizeBytes: 8 * 4 * config.LineBytes, Ways: 4},
-		{SizeBytes: 16 * 16 * config.LineBytes, Ways: 16},
-		{SizeBytes: 1 * 8 * config.LineBytes, Ways: 8},
+	// Every associativity a recency word orders, powers of two or not, over
+	// 1 to 16 sets.
+	var geoms []config.CacheConfig
+	for ways := 1; ways <= config.MaxWays; ways++ {
+		sets := 1 << (ways % 5)
+		geoms = append(geoms, config.CacheConfig{SizeBytes: sets * ways * config.LineBytes, Ways: ways})
 	}
 	states := []State{Shared, Exclusive, Modified, MigratedExclusive}
 	for gi, g := range geoms {

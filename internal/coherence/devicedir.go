@@ -12,6 +12,7 @@ package coherence
 import (
 	"fmt"
 
+	"pipm/internal/cache"
 	"pipm/internal/config"
 )
 
@@ -44,13 +45,6 @@ type Entry struct {
 	Sharers SharerSet // caching hosts (valid in S)
 	Owner   int16     // owning host (valid in M)
 	State   DirState
-}
-
-// dirMeta is the part of a way a probe does not read: its LRU stamp and
-// entry, touched only once the tag matched or a victim is chosen.
-type dirMeta struct {
-	lru   uint64
-	entry Entry
 }
 
 // BackInvalidation reports a line displaced from the directory for capacity;
@@ -91,18 +85,17 @@ func (s *Stats) add(o Stats) {
 }
 
 // dirSlice is one address-hashed slice of the directory: its own ways,
-// LRU clock, O(1) occupancy counter and event counters. Entries of a set
-// never cross a slice, so a per-slice LRU clock preserves exactly the
-// relative recency order a single global clock establishes within any set.
+// per-set recency words, O(1) occupancy counter and event counters.
 //
-// Tags are kept apart from the rest of each way (DESIGN.md §16.3), so a
-// 16-way probe scans 128 bytes of tags instead of 896 bytes of ways.
+// Tags are kept apart from the entries (DESIGN.md §16.3), so a 16-way
+// probe scans 128 bytes of tags instead of 512 bytes of {tag, entry}
+// ways; an entry is touched only once its tag matched or it is the victim.
 type dirSlice struct {
-	tags  []config.Addr // sets*ways; line+1, 0 = invalid
-	meta  []dirMeta     // sets*ways
-	tick  uint64
-	occ   int
-	stats Stats
+	tags    []config.Addr // sets*ways; line+1, 0 = invalid
+	entries []Entry       // sets*ways
+	rec     cache.Recency
+	occ     int
+	stats   Stats
 }
 
 // find returns the flat index of line's valid way in the set starting at
@@ -119,7 +112,7 @@ func (sl *dirSlice) find(base, ways int, line config.Addr) int {
 // drop invalidates way i.
 func (sl *dirSlice) drop(i int) {
 	sl.tags[i] = 0
-	sl.meta[i] = dirMeta{}
+	sl.entries[i] = Entry{}
 	sl.occ--
 }
 
@@ -152,6 +145,9 @@ func NewDeviceDir(cfg config.CXLConfig, lines int64) *DeviceDir {
 	if cfg.DirSlices <= 0 || cfg.DirSlices&(cfg.DirSlices-1) != 0 {
 		panic(fmt.Sprintf("coherence: %d directory slices is not a power of two", cfg.DirSlices))
 	}
+	if cfg.DirWays < 1 || cfg.DirWays > config.MaxWays {
+		panic(fmt.Sprintf("coherence: %d directory ways is outside 1..%d", cfg.DirWays, config.MaxWays))
+	}
 	ways := cfg.DirWays
 	classes := int64(cfg.DirSlices) * int64(cfg.DirSets)
 	if most := (lines + classes - 1) / classes; most < int64(ways) {
@@ -167,7 +163,8 @@ func NewDeviceDir(cfg config.CXLConfig, lines int64) *DeviceDir {
 	}
 	for i := range d.slices {
 		d.slices[i].tags = make([]config.Addr, cfg.DirSets*ways)
-		d.slices[i].meta = make([]dirMeta, cfg.DirSets*ways)
+		d.slices[i].entries = make([]Entry, cfg.DirSets*ways)
+		d.slices[i].rec = cache.NewRecency(cfg.DirSets, ways)
 	}
 	return d
 }
@@ -181,11 +178,11 @@ func (d *DeviceDir) Slices() int { return len(d.slices) }
 // SliceFor returns the slice index line hashes to.
 func (d *DeviceDir) SliceFor(line config.Addr) int { return int(line & d.sliceMask) }
 
-// setFor returns line's slice and the flat index of its set's first way.
-func (d *DeviceDir) setFor(line config.Addr) (*dirSlice, int) {
-	sl := &d.slices[line&d.sliceMask]
-	set := int(line>>d.sliceShift) & (d.sets - 1)
-	return sl, set * d.ways
+// setFor returns line's slice, its set within the slice and the flat index
+// of the set's first way.
+func (d *DeviceDir) setFor(line config.Addr) (sl *dirSlice, set, base int) {
+	set = int(line>>d.sliceShift) & (d.sets - 1)
+	return &d.slices[line&d.sliceMask], set, set * d.ways
 }
 
 // log2 returns the exponent of a power of two.
@@ -201,10 +198,10 @@ func log2(n int) int {
 // Lookup returns the entry for line, if present. It does not refresh LRU;
 // the Update that acts on the entry does.
 func (d *DeviceDir) Lookup(line config.Addr) (Entry, bool) {
-	sl, base := d.setFor(line)
+	sl, _, base := d.setFor(line)
 	sl.stats.Lookups++
 	if i := sl.find(base, d.ways, line); i >= 0 {
-		e := sl.meta[i].entry
+		e := sl.entries[i]
 		switch e.State {
 		case DirShared:
 			sl.stats.HitS++
@@ -221,9 +218,9 @@ func (d *DeviceDir) Lookup(line config.Addr) (Entry, bool) {
 // statistics. Directory audits use this instead of Lookup so an audited run
 // keeps the exact same stats stream as an unaudited one.
 func (d *DeviceDir) Peek(line config.Addr) (Entry, bool) {
-	sl, base := d.setFor(line)
+	sl, _, base := d.setFor(line)
 	if i := sl.find(base, d.ways, line); i >= 0 {
-		return sl.meta[i].entry, true
+		return sl.entries[i], true
 	}
 	return Entry{}, false
 }
@@ -235,7 +232,7 @@ func (d *DeviceDir) ForEach(fn func(line config.Addr, e Entry)) {
 		sl := &d.slices[s]
 		for i, t := range sl.tags {
 			if t != 0 {
-				fn(t-1, sl.meta[i].entry)
+				fn(t-1, sl.entries[i])
 			}
 		}
 	}
@@ -245,20 +242,20 @@ func (d *DeviceDir) ForEach(fn func(line config.Addr, e Entry)) {
 // back-invalidation if a victim in use had to be displaced. Passing an
 // entry with State == DirInvalid removes the line's entry instead.
 func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
-	sl, base := d.setFor(line)
-	sl.tick++
+	sl, set, base := d.setFor(line)
 	if i := sl.find(base, d.ways, line); i >= 0 {
 		if e.State == DirInvalid {
 			sl.drop(i)
 		} else {
-			sl.meta[i] = dirMeta{lru: sl.tick, entry: e}
+			sl.entries[i] = e
+			sl.rec.Touch(set, i-base)
 		}
 		return BackInvalidation{}, false
 	}
 	if e.State == DirInvalid {
 		return BackInvalidation{}, false
 	}
-	tags, meta := sl.tags[base:base+d.ways], sl.meta[base:base+d.ways]
+	tags, entries := sl.tags[base:base+d.ways], sl.entries[base:base+d.ways]
 	victim := -1
 	for i, t := range tags {
 		if t == 0 {
@@ -269,19 +266,15 @@ func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
 	var bi BackInvalidation
 	evicted := victim < 0
 	if evicted {
-		victim = 0
-		for i := 1; i < d.ways; i++ {
-			if meta[i].lru < meta[victim].lru {
-				victim = i
-			}
-		}
-		bi = BackInvalidation{Line: tags[victim] - 1, Entry: meta[victim].entry}
+		victim = sl.rec.LRU(set)
+		bi = BackInvalidation{Line: tags[victim] - 1, Entry: entries[victim]}
 		sl.stats.BackInvals++
 	} else {
 		sl.occ++
 	}
 	tags[victim] = line + 1
-	meta[victim] = dirMeta{lru: sl.tick, entry: e}
+	entries[victim] = e
+	sl.rec.Touch(set, victim)
 	sl.stats.Installs++
 	return bi, evicted
 }
@@ -289,12 +282,12 @@ func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
 // Remove drops line's entry (eviction notifications from hosts), returning
 // the entry it held.
 func (d *DeviceDir) Remove(line config.Addr) (Entry, bool) {
-	sl, base := d.setFor(line)
+	sl, _, base := d.setFor(line)
 	i := sl.find(base, d.ways, line)
 	if i < 0 {
 		return Entry{}, false
 	}
-	e := sl.meta[i].entry
+	e := sl.entries[i]
 	sl.drop(i)
 	return e, true
 }
@@ -302,12 +295,12 @@ func (d *DeviceDir) Remove(line config.Addr) (Entry, bool) {
 // RemoveSharer clears host h from line's sharer set, dropping the entry when
 // the set empties. It reports whether an entry remains.
 func (d *DeviceDir) RemoveSharer(line config.Addr, h int) bool {
-	sl, base := d.setFor(line)
+	sl, _, base := d.setFor(line)
 	i := sl.find(base, d.ways, line)
 	if i < 0 {
 		return false
 	}
-	e := &sl.meta[i].entry
+	e := &sl.entries[i]
 	switch e.State {
 	case DirShared:
 		e.Sharers = e.Sharers.Without(h)

@@ -181,6 +181,17 @@ func TestNewRejectsBadSlices(t *testing.T) {
 	NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 1, DirSlices: 3}, anyLines)
 }
 
+func TestNewRejectsWideSets(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for 17 ways")
+		}
+	}()
+	// Only one way can ever be occupied, but the configuration is still
+	// beyond what a recency word orders.
+	NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 17, DirSlices: 1}, 4)
+}
+
 // Property: Update/Remove/RemoveSharer keep a shadow ledger exactly in sync.
 func TestDirectoryLedgerProperty(t *testing.T) {
 	d := tiny()

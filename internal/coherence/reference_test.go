@@ -9,7 +9,7 @@ import (
 	"pipm/internal/config"
 )
 
-// refDir is the array-of-structs directory the split tag/meta layout
+// refDir is the array-of-structs directory the split tag/entry layout
 // replaced: one {tag, valid, lru, entry} record per way. It is kept as an
 // executable specification; TestSplitLayoutMatchesReference drives both
 // with the same operation streams.
@@ -182,16 +182,17 @@ type dirItem struct {
 	entry Entry
 }
 
-// TestSplitLayoutMatchesReference drives the split tag/meta directory and
+// TestSplitLayoutMatchesReference drives the split tag/entry directory and
 // the reference model with seeded random operation streams: installs,
 // in-place updates, Update(DirInvalid) of present and absent lines,
 // RemoveSharer for owners, non-owners and sharers, and Remove. Every
 // return value, back-invalidation, per-slice occupancy and Stats, and the
 // final contents in ForEach order must agree. The first geometries draw
 // from three times the capacity, so sets overflow constantly (line 0, whose
-// tag is stored as 1, included). The last ones give NewDeviceDir a line
-// domain small enough that it stores fewer ways than configured; the
-// reference keeps every configured way.
+// tag is stored as 1, included) and sets of 2, 4, 12 and 16 ways evict
+// their LRU way. The last ones give NewDeviceDir a line domain small
+// enough that it stores fewer ways than configured; the reference keeps
+// every configured way.
 func TestSplitLayoutMatchesReference(t *testing.T) {
 	geoms := []struct {
 		cfg   config.CXLConfig
@@ -204,6 +205,8 @@ func TestSplitLayoutMatchesReference(t *testing.T) {
 		{config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2}, 4, anyLines, 0, 48, 2},
 		{config.CXLConfig{DirSets: 8, DirWays: 16, DirSlices: 4}, 16, anyLines, 0, 3 * 512, 16},
 		{config.CXLConfig{DirSets: 2, DirWays: 4, DirSlices: 1}, 256, anyLines, 0, 24, 4},
+		{config.CXLConfig{DirSets: 2, DirWays: 16, DirSlices: 1}, 64, anyLines, 0, 3 * 32, 16},
+		{config.CXLConfig{DirSets: 4, DirWays: 12, DirSlices: 2}, 8, anyLines, 3, 3 * 96, 12},
 		{config.CXLConfig{DirSets: 16, DirWays: 16, DirSlices: 4}, 4, 100, 1<<24 + 5, 100, 2},
 		{config.CXLConfig{DirSets: 16, DirWays: 16, DirSlices: 4}, 256, 64, 12345, 64, 1},
 		{config.CXLConfig{DirSets: 8, DirWays: 4, DirSlices: 2}, 16, 48, 7, 48, 3},
@@ -281,13 +284,10 @@ func TestSplitLayoutMatchesReference(t *testing.T) {
 	}
 }
 
-// The field order of Entry and dirMeta is chosen for size: a way costs an
-// 8-byte tag plus a 32-byte meta record.
+// The field order of Entry is chosen for size: a way costs an 8-byte tag
+// plus a 24-byte entry, and each set one 8-byte recency word.
 func TestWayFootprint(t *testing.T) {
 	if s := unsafe.Sizeof(Entry{}); s != 24 {
 		t.Errorf("Entry is %d bytes, want 24", s)
-	}
-	if s := unsafe.Sizeof(dirMeta{}); s != 32 {
-		t.Errorf("dirMeta is %d bytes, want 32", s)
 	}
 }

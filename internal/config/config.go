@@ -96,6 +96,10 @@ const (
 // widened global remapping entry (DESIGN.md §16).
 const MaxHosts = 256
 
+// MaxWays is the widest associativity of any set-associative model: each
+// set's LRU order is one 64-bit word of 4-bit way indices (cache.Recency).
+const MaxWays = 16
+
 // GlobalRemapEntrySize returns the bytes one global remapping entry costs
 // at this configuration's host width: the paper's packed 2-byte entry
 // (5b+5b+6b) up to 32 hosts, a 3-byte entry (8b+8b+6b+2b spare) beyond.
@@ -256,6 +260,17 @@ func (c *Config) Validate() error {
 	}
 	if c.CXL.LinkBW <= 0 || c.CXL.DirSlices < 1 || c.CXL.DirSets < 1 || c.CXL.DirWays < 1 {
 		return fmt.Errorf("config: CXL link/directory parameters must be positive")
+	}
+	for _, w := range []struct {
+		name string
+		ways int
+	}{
+		{"L1D.Ways", c.L1D.Ways}, {"LLC.Ways", c.LLC.Ways}, {"CXL.DirWays", c.CXL.DirWays}, {"TLBWays", c.TLBWays},
+		{"PIPM.GlobalRemapCacheWays", c.PIPM.GlobalRemapCacheWays}, {"PIPM.LocalRemapCacheWays", c.PIPM.LocalRemapCacheWays},
+	} {
+		if w.ways > MaxWays {
+			return fmt.Errorf("config: %s = %d, want ≤ %d (one recency word orders a set)", w.name, w.ways, MaxWays)
+		}
 	}
 	if c.CXL.SwitchHops < 0 {
 		return fmt.Errorf("config: CXL.SwitchHops = %d, want ≥ 0", c.CXL.SwitchHops)

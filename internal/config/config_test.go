@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -76,6 +77,33 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a broken config", m.name)
 		}
+	}
+	// A set's LRU order is one word of MaxWays nibbles; wider sets must
+	// fail naming the field.
+	wide := []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"L1D.Ways", func(c *Config) { c.L1D.Ways = MaxWays * 2; c.L1D.SizeBytes *= 2 }},
+		{"LLC.Ways", func(c *Config) { c.LLC.Ways = MaxWays * 2 }},
+		{"CXL.DirWays", func(c *Config) { c.CXL.DirWays = MaxWays + 1 }},
+		{"TLBWays", func(c *Config) { c.TLBWays = MaxWays + 1 }},
+		{"PIPM.GlobalRemapCacheWays", func(c *Config) { c.PIPM.GlobalRemapCacheWays = MaxWays + 1 }},
+		{"PIPM.LocalRemapCacheWays", func(c *Config) { c.PIPM.LocalRemapCacheWays = MaxWays + 1 }},
+	}
+	for _, w := range wide {
+		c := Default()
+		w.mut(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), w.field+" = ") {
+			t.Errorf("%s above %d: Validate returned %v, want an error naming the field", w.field, MaxWays, err)
+		}
+	}
+	// Exactly MaxWays everywhere is legal.
+	c := Default()
+	c.L1D.Ways, c.LLC.Ways, c.CXL.DirWays, c.TLBWays = MaxWays, MaxWays, MaxWays, MaxWays
+	c.PIPM.GlobalRemapCacheWays, c.PIPM.LocalRemapCacheWays = MaxWays, MaxWays
+	if err := c.Validate(); err != nil {
+		t.Errorf("%d ways everywhere: Validate rejected a legal config: %v", MaxWays, err)
 	}
 }
 

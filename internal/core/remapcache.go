@@ -1,6 +1,12 @@
 package core
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+
+	"pipm/internal/cache"
+	"pipm/internal/config"
+)
 
 // RemapCache models the on-die caches in front of the remapping tables: the
 // 16 KB global remapping cache on the CXL device and the 1 MB local
@@ -10,7 +16,7 @@ import "math/bits"
 // on a hit, which is exactly what the latency model charges for.
 //
 // A geometry that can never evict is stored as a presence bitmap over the
-// page domain instead of tag and LRU arrays (DESIGN.md §16.3). A set only
+// page domain instead of tags plus recency words (DESIGN.md §16.3). A set only
 // ever holds distinct pages of its own residue class, so when no class has
 // more members than the set has ways, a miss always finds an empty way and
 // the cache is exactly the set of pages looked up and not invalidated since.
@@ -24,8 +30,7 @@ type RemapCache struct {
 	ways int
 	sets int
 	tags []int64 // sets*ways; -1 = empty
-	lru  []uint64
-	tick uint64
+	rec  cache.Recency
 
 	hits, misses uint64
 }
@@ -49,7 +54,7 @@ func NewRemapCache(entries, ways int, pages int64) *RemapCache {
 
 func (c *RemapCache) allocSets() {
 	c.tags = make([]int64, c.sets*c.ways)
-	c.lru = make([]uint64, c.sets*c.ways)
+	c.rec = cache.NewRecency(c.sets, c.ways)
 	for i := range c.tags {
 		c.tags[i] = -1
 	}
@@ -57,8 +62,12 @@ func (c *RemapCache) allocSets() {
 
 // newRemapCache normalises the geometry without allocating storage: sets
 // round down to a power of two for cheap indexing and ways clamp to the
-// entry count.
+// entry count. It panics on more than config.MaxWays ways (config.Validate
+// rejects those first).
 func newRemapCache(entries, ways int) *RemapCache {
+	if ways > config.MaxWays {
+		panic(fmt.Sprintf("core: %d remap cache ways is above %d", ways, config.MaxWays))
+	}
 	switch {
 	case entries < 0:
 		return &RemapCache{capacity: -1}
@@ -104,32 +113,25 @@ func (c *RemapCache) Lookup(page int64) bool {
 		return false
 	}
 	set := int(page) & (c.sets - 1)
-	base := set * c.ways
-	c.tick++
-	for i := 0; i < c.ways; i++ {
-		if c.tags[base+i] == page {
-			c.lru[base+i] = c.tick
+	tags := c.tags[set*c.ways : (set+1)*c.ways]
+	victim := -1
+	for i, tag := range tags {
+		switch {
+		case tag == page:
+			c.rec.Touch(set, i)
 			c.hits++
 			return true
+		case tag == -1 && victim < 0:
+			victim = i
 		}
 	}
 	c.misses++
-	// Fill: LRU victim within the set.
-	victim := base
-	for i := 1; i < c.ways; i++ {
-		if c.tags[base+i] == -1 {
-			victim = base + i
-			break
-		}
-		if c.lru[base+i] < c.lru[victim] {
-			victim = base + i
-		}
+	// Fill: the first empty way, else the set's LRU way.
+	if victim < 0 {
+		victim = c.rec.LRU(set)
 	}
-	if c.tags[base] == -1 {
-		victim = base
-	}
-	c.tags[victim] = page
-	c.lru[victim] = c.tick
+	tags[victim] = page
+	c.rec.Touch(set, victim)
 	return false
 }
 
@@ -163,7 +165,6 @@ func (c *RemapCache) Invalidate(page int64) {
 	for i := 0; i < c.ways; i++ {
 		if c.tags[base+i] == page {
 			c.tags[base+i] = -1
-			c.lru[base+i] = 0
 			return
 		}
 	}

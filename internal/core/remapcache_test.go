@@ -217,3 +217,116 @@ func cachedPages(c *RemapCache) []int64 {
 	slices.Sort(out)
 	return out
 }
+
+// refRemapCache is the stamp-based set-associative remap cache the recency
+// words replaced: a per-cache LRU clock stamped on every lookup, and a
+// victim scan that takes the first empty way, else the way with the
+// smallest stamp. It is kept as an executable specification;
+// TestRemapCacheMatchesReference drives both with the same streams.
+type refRemapCache struct {
+	ways, sets   int
+	tags         []int64
+	lru          []uint64
+	tick         uint64
+	hits, misses uint64
+}
+
+func newRefRemapCache(c *RemapCache) *refRemapCache {
+	r := &refRemapCache{ways: c.ways, sets: c.sets, tags: make([]int64, len(c.tags)), lru: make([]uint64, len(c.tags))}
+	for i := range r.tags {
+		r.tags[i] = -1
+	}
+	return r
+}
+
+func (c *refRemapCache) Lookup(page int64) bool {
+	base := (int(page) & (c.sets - 1)) * c.ways
+	c.tick++
+	for i := 0; i < c.ways; i++ {
+		if c.tags[base+i] == page {
+			c.lru[base+i] = c.tick
+			c.hits++
+			return true
+		}
+	}
+	c.misses++
+	victim := base
+	for i := 0; i < c.ways; i++ {
+		if c.tags[base+i] == -1 {
+			victim = base + i
+			break
+		}
+		if c.lru[base+i] < c.lru[victim] {
+			victim = base + i
+		}
+	}
+	c.tags[victim] = page
+	c.lru[victim] = c.tick
+	return false
+}
+
+func (c *refRemapCache) Invalidate(page int64) {
+	base := (int(page) & (c.sets - 1)) * c.ways
+	for i := 0; i < c.ways; i++ {
+		if c.tags[base+i] == page {
+			c.tags[base+i] = -1
+			c.lru[base+i] = 0
+			return
+		}
+	}
+}
+
+// TestRemapCacheMatchesReference drives the set-associative path and the
+// stamp-based reference with seeded random streams of lookups (a hit, or
+// a fill that takes an empty way or evicts) and invalidations over three
+// times the capacity, at every associativity from 1 to 16. Every hit/miss
+// answer, the counters and the cached pages in ForEachCached order must
+// agree.
+func TestRemapCacheMatchesReference(t *testing.T) {
+	for ways := 1; ways <= 16; ways++ {
+		entries := ways << (ways % 4)
+		for seed := int64(1); seed <= 4; seed++ {
+			got := NewRemapCache(entries, ways, testPages)
+			if got.tags == nil {
+				t.Fatalf("%d entries × %d ways did not take the set-associative path", entries, ways)
+			}
+			want := newRefRemapCache(got)
+			rng := rand.New(rand.NewSource(seed))
+			space := int64(3 * entries)
+			for op := 0; op < 20000; op++ {
+				page := rng.Int63n(space)
+				if rng.Intn(10) == 0 {
+					got.Invalidate(page)
+					want.Invalidate(page)
+					continue
+				}
+				if g, w := got.Lookup(page), want.Lookup(page); g != w {
+					t.Fatalf("%d ways seed %d op %d: Lookup(%d) %v, reference %v", ways, seed, op, page, g, w)
+				}
+			}
+			if got.Hits() != want.hits || got.Misses() != want.misses {
+				t.Fatalf("%d ways seed %d: hits/misses %d/%d, reference %d/%d",
+					ways, seed, got.Hits(), got.Misses(), want.hits, want.misses)
+			}
+			var gc, wc []int64
+			got.ForEachCached(func(p int64) { gc = append(gc, p) })
+			for _, p := range want.tags {
+				if p != -1 {
+					wc = append(wc, p)
+				}
+			}
+			if !slices.Equal(gc, wc) {
+				t.Fatalf("%d ways seed %d: cached pages differ:\n got       %v\n reference %v", ways, seed, gc, wc)
+			}
+		}
+	}
+}
+
+func TestNewRemapCacheRejectsWideSets(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for 17 ways")
+		}
+	}()
+	NewRemapCache(64, 17, testPages)
+}

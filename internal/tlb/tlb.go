@@ -1,6 +1,11 @@
 package tlb
 
-import "pipm/internal/config"
+import (
+	"fmt"
+
+	"pipm/internal/cache"
+	"pipm/internal/config"
+)
 
 // TLB is a per-core set-associative translation cache over 4 KB pages.
 // The simulator's traces carry physical addresses, so the TLB's role is
@@ -11,15 +16,19 @@ type TLB struct {
 	ways int
 	sets int
 	tags []int64 // sets*ways; -1 empty
-	lru  []uint64
-	tick uint64
+	rec  cache.Recency
 
 	hits, misses uint64
 }
 
 // NewTLB builds a TLB with the given capacity in entries and associativity.
 // Zero or negative entries return nil (disabled); callers must nil-check.
+// It panics on more than config.MaxWays ways (config.Validate rejects those
+// first).
 func NewTLB(entries, ways int) *TLB {
+	if ways > config.MaxWays {
+		panic(fmt.Sprintf("tlb: %d ways is above %d", ways, config.MaxWays))
+	}
 	if entries <= 0 {
 		return nil
 	}
@@ -40,7 +49,7 @@ func NewTLB(entries, ways int) *TLB {
 		ways: ways,
 		sets: sets,
 		tags: make([]int64, sets*ways),
-		lru:  make([]uint64, sets*ways),
+		rec:  cache.NewRecency(sets, ways),
 	}
 	for i := range t.tags {
 		t.tags[i] = -1
@@ -52,32 +61,29 @@ func NewTLB(entries, ways int) *TLB {
 func (t *TLB) Entries() int { return t.sets * t.ways }
 
 // Lookup translates the page containing addr, filling on a miss, and
-// reports whether the translation hit.
+// reports whether the translation hit. A miss fills the set's first empty
+// way, else its LRU way.
 func (t *TLB) Lookup(addr config.Addr) bool {
 	page := int64(addr.Page())
 	set := int(page) & (t.sets - 1)
-	base := set * t.ways
-	t.tick++
-	for i := 0; i < t.ways; i++ {
-		if t.tags[base+i] == page {
-			t.lru[base+i] = t.tick
+	tags := t.tags[set*t.ways : (set+1)*t.ways]
+	victim := -1
+	for i, tag := range tags {
+		switch {
+		case tag == page:
+			t.rec.Touch(set, i)
 			t.hits++
 			return true
+		case tag == -1 && victim < 0:
+			victim = i
 		}
 	}
 	t.misses++
-	victim := base
-	for i := 0; i < t.ways; i++ {
-		if t.tags[base+i] == -1 {
-			victim = base + i
-			break
-		}
-		if t.lru[base+i] < t.lru[victim] {
-			victim = base + i
-		}
+	if victim < 0 {
+		victim = t.rec.LRU(set)
 	}
-	t.tags[victim] = page
-	t.lru[victim] = t.tick
+	tags[victim] = page
+	t.rec.Touch(set, victim)
 	return false
 }
 
@@ -88,7 +94,6 @@ func (t *TLB) Invalidate(page config.Addr) {
 	for i := 0; i < t.ways; i++ {
 		if t.tags[base+i] == int64(page) {
 			t.tags[base+i] = -1
-			t.lru[base+i] = 0
 			return
 		}
 	}
