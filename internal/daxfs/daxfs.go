@@ -22,7 +22,6 @@ package daxfs
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pipm/internal/config"
 	"pipm/internal/trace"
@@ -228,8 +227,8 @@ type reader struct {
 	host int
 
 	rng      *trace.Source
-	zipfAll  *rand.Zipf
-	zipfOwn  *rand.Zipf
+	zipfAll  *trace.Zipf
+	zipfOwn  *trace.Zipf
 	ownFiles int64
 
 	// Precomputed samplers over rng; opLookup and opScan test one draw.

@@ -26,7 +26,6 @@ package llmserve
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pipm/internal/config"
 	"pipm/internal/trace"
@@ -247,18 +246,18 @@ type reader struct {
 	host int
 
 	rng        *trace.Source
-	zipfGlobal *rand.Zipf
-	zipfShard  *rand.Zipf
+	zipfGlobal *trace.Zipf
+	zipfShard  *trace.Zipf
 
 	// Precomputed samplers over rng.
 	burst, arrival, tokens trace.Geometric
 	migrate, shard         trace.Bernoulli
 
 	active    []*session
-	zipfRank  []*rand.Zipf // by active-session count; built on first use
-	countdown int          // scheduler steps until the next arrival burst
-	nextHome  int64        // round-robin cursor over the home slot class
-	scanPage  int64        // idle-scan position within the own shard
+	zipfRank  []*trace.Zipf // by active-session count; built on first use
+	countdown int           // scheduler steps until the next arrival burst
+	nextHome  int64         // round-robin cursor over the home slot class
+	scanPage  int64         // idle-scan position within the own shard
 	scanLine  int
 }
 
@@ -333,7 +332,7 @@ func (r *reader) pickSession() *session {
 	if n == 1 {
 		return r.active[0]
 	}
-	var z *rand.Zipf
+	var z *trace.Zipf
 	if s := r.p.SessionZipfS; s > 0 {
 		// NewZipf only derives constants from (s, n) and draws nothing, so
 		// one sampler per session count yields the same stream as building

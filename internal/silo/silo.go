@@ -9,7 +9,6 @@ package silo
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pipm/internal/config"
 	"pipm/internal/trace"
@@ -75,7 +74,7 @@ func (s *Store) homeWarehouses(h int) (lo, hi int64) {
 }
 
 // keyIn picks a zipf-ish key within warehouse w.
-func (s *Store) keyIn(w int64, z *rand.Zipf) int64 {
+func (s *Store) keyIn(w int64, z *trace.Zipf) int64 {
 	per := s.records / s.warehouses
 	off := int64(z.Uint64()) % per
 	// Spread hot ranks across the warehouse block.
@@ -125,7 +124,7 @@ type opReader struct {
 	host int
 
 	rng  *trace.Source
-	zipf *rand.Zipf
+	zipf *trace.Zipf
 
 	nextOrderLine int64 // per-reader append cursor for TPC-C inserts
 }

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"math/rand"
-
-	"pipm/internal/config"
-)
+import "pipm/internal/config"
 
 // Batch is the record loop every per-core generator shares: it yields at
 // most the record budget, calling fill for the next operation's records
@@ -62,24 +58,6 @@ func CoreSeed(seed, salt int64, host, core int) int64 {
 func Scramble(rank, n int64) int64 {
 	const prime = 2654435761 // Knuth multiplicative hash
 	return (rank*prime + n/2) % n
-}
-
-// minZipfS is the smallest skew NewZipf uses; rand.NewZipf requires s > 1.
-const minZipfS = 1.05
-
-// NewZipf returns a Zipf sampler over ranks [0, n) drawing from s, with
-// skews below the usable minimum raised to it. Building one draws nothing.
-func NewZipf(s *Source, skew float64, n int64) *rand.Zipf {
-	return rand.NewZipf(rand.New(s), max(skew, minZipfS), 1, uint64(n-1))
-}
-
-// Pick draws a rank in [0, n): from z when the generator built one, else
-// uniformly.
-func (s *Source) Pick(z *rand.Zipf, n int64) int64 {
-	if z != nil {
-		return int64(z.Uint64())
-	}
-	return s.Int63n(n)
 }
 
 // Split is the profile of a multi-core trace classified against one

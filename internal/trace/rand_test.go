@@ -110,6 +110,77 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
+// schrage is math/rand's seedrand: x ← 48271·x mod (2³¹−1) by Schrage's
+// method, the division-based form mulmod replaces.
+func schrage(x int32) int32 {
+	const (
+		A = 48271
+		Q = 44488
+		R = 3399
+	)
+	hi := x / Q
+	lo := x % Q
+	x = A*lo - R*hi
+	if x < 0 {
+		x += int32max
+	}
+	return x
+}
+
+// TestSeedStepMatchesSchrage checks the folded step against Schrage's form
+// for every state the seeding generator can be in, [1, 2³¹−2].
+func TestSeedStepMatchesSchrage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive over 2³¹ states")
+	}
+	for x := int32(1); x < int32max; x++ {
+		if got, want := mulmod(seedA, uint64(x)), schrage(x); got != uint64(want) {
+			t.Fatalf("x = %d: folded step %d, Schrage %d", x, got, want)
+		}
+	}
+}
+
+// TestSeedChainStep checks that one seedA³ step is three single steps, and
+// that seedA21..seedA23 take a seed to draws 21, 22 and 23.
+func TestSeedChainStep(t *testing.T) {
+	xs := []int32{1, 2, 3, 48271, 44488, 44487, 89482311, int32max - 2, int32max - 1}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100000; i++ {
+		xs = append(xs, 1+rng.Int31n(int32max-1))
+	}
+	for _, x := range xs {
+		y := x
+		var draws [24]int32
+		for j := 1; j < len(draws); j++ {
+			y = schrage(y)
+			draws[j] = y
+		}
+		if got := mulmod(seedA3, uint64(x)); got != uint64(draws[3]) {
+			t.Fatalf("x = %d: seedA³ step %d, three steps %d", x, got, draws[3])
+		}
+		for j, a := range map[int]uint64{21: seedA21, 22: seedA22, 23: seedA23} {
+			if got := mulmod(a, uint64(x)); got != uint64(draws[j]) {
+				t.Fatalf("x = %d: seedA^%d step %d, %d steps %d", x, j, got, j, draws[j])
+			}
+		}
+	}
+}
+
+// TestSeedMatchesMathRand compares the whole register after Seed with
+// math/rand's for equivSeeds and 10k more seeds across the int64 range.
+func TestSeedMatchesMathRand(t *testing.T) {
+	seeds := append([]int64(nil), equivSeeds...)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 10000; i++ {
+		seeds = append(seeds, int64(rng.Uint64()), int64(i)-5000)
+	}
+	var s Source
+	for _, seed := range seeds {
+		s.Seed(seed)
+		checkTail(t, &s, rand.New(rand.NewSource(seed)))
+	}
+}
+
 // TestUnitTwoThresholds checks the one-draw, two-threshold comparison chain
 // the generators use (r < a; r < a+b), with the second threshold built from
 // the same float64 sum.
@@ -131,13 +202,13 @@ func TestUnitTwoThresholds(t *testing.T) {
 	}
 }
 
-// TestZipfOverSharedState checks that rand.Zipf driven through rand.New(s)
-// interleaves with Source's own methods exactly as it does over math/rand.
+// TestZipfOverSharedState checks that Zipf draws interleave with Source's
+// own methods exactly as rand.Zipf's do over math/rand.
 func TestZipfOverSharedState(t *testing.T) {
 	for _, seed := range equivSeeds {
 		s := NewSource(seed)
 		ref := rand.New(rand.NewSource(seed))
-		z := rand.NewZipf(rand.New(s), 1.1, 1, 4095)
+		z := NewZipf(s, 1.1, 4096)
 		zref := rand.NewZipf(ref, 1.1, 1, 4095)
 		g := NewGeometric(16)
 		for i := 0; i < 100; i++ {

@@ -15,7 +15,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pipm/internal/config"
 	"pipm/internal/daxfs"
@@ -232,8 +231,8 @@ type genReader struct {
 	partPages int64 // pages per host partition
 	allPages  int64
 
-	zipfOwn  *rand.Zipf // over partition pages
-	zipfAll  *rand.Zipf // over all pages
+	zipfOwn  *trace.Zipf // over partition pages
+	zipfAll  *trace.Zipf // over all pages
 	stackPos int64
 
 	// Current sequential run.
