@@ -84,8 +84,9 @@ func (s *Stats) add(o Stats) {
 	s.ShootdownTargets += o.ShootdownTargets
 }
 
-// dirSlice is one address-hashed slice of the directory: its own ways,
-// per-set recency words, O(1) occupancy counter and event counters.
+// dirSlice is one address-hashed slice of the directory: its O(1)
+// occupancy counter, its event counters and, in the set-associative
+// layout, its own ways and per-set recency words.
 //
 // Tags are kept apart from the entries (DESIGN.md §16.3), so a 16-way
 // probe scans 128 bytes of tags instead of 512 bytes of {tag, entry}
@@ -109,36 +110,50 @@ func (sl *dirSlice) find(base, ways int, line config.Addr) int {
 	return -1
 }
 
-// drop invalidates way i.
-func (sl *dirSlice) drop(i int) {
-	sl.tags[i] = 0
-	sl.entries[i] = Entry{}
+// drop clears the entry e, which sits at flat way index way in the
+// set-associative layout (way < 0 in the dense one).
+func (sl *dirSlice) drop(e *Entry, way int) {
+	*e = Entry{}
+	if way >= 0 {
+		sl.tags[way] = 0
+	}
 	sl.occ--
 }
 
-// DeviceDir is the sliced, set-associative device coherence directory.
-// Geometry comes from Table 2: Sets × Ways per slice, Slices slices; lines
-// hash to a slice then index a set within it. Both counts must be powers
-// of two — the slice hash is a mask, and harness.ScaleForHosts grows the
-// slice count with the host count so lookup ports keep pace.
+// DeviceDir is the sliced device coherence directory. Geometry comes from
+// Table 2: Sets × Ways per slice, Slices slices; lines hash to a slice then
+// index a set within it. Both counts must be powers of two — the slice hash
+// is a mask, and harness.ScaleForHosts grows the slice count with the host
+// count so lookup ports keep pace.
+//
+// A geometry in which no set can overflow is stored as one entry per line
+// of the pool instead (DESIGN.md §16.3): dense[line-first], with State ==
+// DirInvalid meaning absent. Slice occupancy and counters are kept the same
+// way in both layouts.
 type DeviceDir struct {
-	sets, ways int // ways as stored: at most the configured count
+	sets, ways int
 	capacity   int // configured entries, Sets × Ways × Slices
 	sliceMask  config.Addr
 	sliceShift uint
 	slices     []dirSlice
+
+	// Dense layout (nil in the set-associative one).
+	first config.Addr // the pool's first line
+	dense []Entry     // indexed by line - first
 }
 
 // NewDeviceDir builds the directory from CXL configuration, for a memory
-// of the given number of lines in one contiguous range (the CXL pool);
-// only those lines may be installed.
+// of lines lines starting at line first (the CXL pool); only those lines
+// may be installed.
 //
 // A set only ever holds lines of its own residue class modulo Slices ×
 // Sets, and a contiguous range puts at most ceil(lines/(Slices×Sets)) lines
-// in any class. Ways beyond that count can never be occupied, so they are
-// not stored: every lookup, install and back-invalidation is the same as
-// with the configured ways (DESIGN.md §16.3).
-func NewDeviceDir(cfg config.CXLConfig, lines int64) *DeviceDir {
+// in any class. When that is at most Ways, an install always finds a free
+// way and LRU is never consulted, so the directory is exactly a map from
+// line to entry: it is stored as the dense layout, and every lookup,
+// install and counter is the same as with the configured ways. A dense
+// directory panics on a line outside [first, first+lines).
+func NewDeviceDir(cfg config.CXLConfig, first config.Addr, lines int64) *DeviceDir {
 	if cfg.DirSets <= 0 || cfg.DirSets&(cfg.DirSets-1) != 0 {
 		panic(fmt.Sprintf("coherence: %d directory sets is not a power of two", cfg.DirSets))
 	}
@@ -148,23 +163,24 @@ func NewDeviceDir(cfg config.CXLConfig, lines int64) *DeviceDir {
 	if cfg.DirWays < 1 || cfg.DirWays > config.MaxWays {
 		panic(fmt.Sprintf("coherence: %d directory ways is outside 1..%d", cfg.DirWays, config.MaxWays))
 	}
-	ways := cfg.DirWays
-	classes := int64(cfg.DirSlices) * int64(cfg.DirSets)
-	if most := (lines + classes - 1) / classes; most < int64(ways) {
-		ways = int(max(most, 1))
-	}
 	d := &DeviceDir{
 		sets:       cfg.DirSets,
-		ways:       ways,
+		ways:       cfg.DirWays,
 		capacity:   cfg.DirSets * cfg.DirWays * cfg.DirSlices,
 		sliceMask:  config.Addr(cfg.DirSlices - 1),
 		sliceShift: uint(log2(cfg.DirSlices)),
 		slices:     make([]dirSlice, cfg.DirSlices),
 	}
+	classes := int64(cfg.DirSlices) * int64(cfg.DirSets)
+	if (lines+classes-1)/classes <= int64(cfg.DirWays) {
+		d.first = first
+		d.dense = make([]Entry, lines)
+		return d
+	}
 	for i := range d.slices {
-		d.slices[i].tags = make([]config.Addr, cfg.DirSets*ways)
-		d.slices[i].entries = make([]Entry, cfg.DirSets*ways)
-		d.slices[i].rec = cache.NewRecency(cfg.DirSets, ways)
+		d.slices[i].tags = make([]config.Addr, cfg.DirSets*cfg.DirWays)
+		d.slices[i].entries = make([]Entry, cfg.DirSets*cfg.DirWays)
+		d.slices[i].rec = cache.NewRecency(cfg.DirSets, cfg.DirWays)
 	}
 	return d
 }
@@ -179,7 +195,8 @@ func (d *DeviceDir) Slices() int { return len(d.slices) }
 func (d *DeviceDir) SliceFor(line config.Addr) int { return int(line & d.sliceMask) }
 
 // setFor returns line's slice, its set within the slice and the flat index
-// of the set's first way.
+// of the set's first way (the set and index are those of the
+// set-associative layout).
 func (d *DeviceDir) setFor(line config.Addr) (sl *dirSlice, set, base int) {
 	set = int(line>>d.sliceShift) & (d.sets - 1)
 	return &d.slices[line&d.sliceMask], set, set * d.ways
@@ -200,24 +217,33 @@ func log2(n int) int {
 func (d *DeviceDir) Lookup(line config.Addr) (Entry, bool) {
 	sl, _, base := d.setFor(line)
 	sl.stats.Lookups++
-	if i := sl.find(base, d.ways, line); i >= 0 {
-		e := sl.entries[i]
-		switch e.State {
-		case DirShared:
-			sl.stats.HitS++
-		case DirModified:
-			sl.stats.HitM++
-		}
-		return e, true
+	var e *Entry
+	if d.dense != nil {
+		e = &d.dense[line-d.first]
+	} else if i := sl.find(base, d.ways, line); i >= 0 {
+		e = &sl.entries[i]
 	}
-	sl.stats.MissI++
-	return Entry{}, false
+	if e == nil || e.State == DirInvalid {
+		sl.stats.MissI++
+		return Entry{}, false
+	}
+	switch e.State {
+	case DirShared:
+		sl.stats.HitS++
+	case DirModified:
+		sl.stats.HitM++
+	}
+	return *e, true
 }
 
 // Peek returns the entry for line without touching LRU order or lookup
 // statistics. Directory audits use this instead of Lookup so an audited run
 // keeps the exact same stats stream as an unaudited one.
 func (d *DeviceDir) Peek(line config.Addr) (Entry, bool) {
+	if d.dense != nil {
+		e := d.dense[line-d.first] // all zero when absent
+		return e, e.State != DirInvalid
+	}
 	sl, _, base := d.setFor(line)
 	if i := sl.find(base, d.ways, line); i >= 0 {
 		return sl.entries[i], true
@@ -226,8 +252,15 @@ func (d *DeviceDir) Peek(line config.Addr) (Entry, bool) {
 }
 
 // ForEach invokes fn for every valid entry without touching LRU order or
-// statistics (observation-only, for the invariant auditor).
+// statistics (observation-only, for the invariant auditor). The dense
+// layout visits entries in ascending line order, the set-associative one
+// slice by slice in way order.
 func (d *DeviceDir) ForEach(fn func(line config.Addr, e Entry)) {
+	for i, e := range d.dense {
+		if e.State != DirInvalid {
+			fn(d.first+config.Addr(i), e)
+		}
+	}
 	for s := range d.slices {
 		sl := &d.slices[s]
 		for i, t := range sl.tags {
@@ -242,10 +275,24 @@ func (d *DeviceDir) ForEach(fn func(line config.Addr, e Entry)) {
 // back-invalidation if a victim in use had to be displaced. Passing an
 // entry with State == DirInvalid removes the line's entry instead.
 func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
+	if d.dense != nil {
+		sl, p := &d.slices[line&d.sliceMask], &d.dense[line-d.first]
+		switch {
+		case p.State != DirInvalid && e.State == DirInvalid:
+			sl.drop(p, -1)
+		case p.State != DirInvalid:
+			*p = e
+		case e.State != DirInvalid:
+			*p = e
+			sl.occ++
+			sl.stats.Installs++
+		}
+		return BackInvalidation{}, false
+	}
 	sl, set, base := d.setFor(line)
 	if i := sl.find(base, d.ways, line); i >= 0 {
 		if e.State == DirInvalid {
-			sl.drop(i)
+			sl.drop(&sl.entries[i], i)
 		} else {
 			sl.entries[i] = e
 			sl.rec.Touch(set, i-base)
@@ -283,34 +330,45 @@ func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
 // the entry it held.
 func (d *DeviceDir) Remove(line config.Addr) (Entry, bool) {
 	sl, _, base := d.setFor(line)
-	i := sl.find(base, d.ways, line)
-	if i < 0 {
+	var e *Entry
+	way := -1
+	if d.dense != nil {
+		e = &d.dense[line-d.first]
+	} else if way = sl.find(base, d.ways, line); way >= 0 {
+		e = &sl.entries[way]
+	}
+	if e == nil || e.State == DirInvalid {
 		return Entry{}, false
 	}
-	e := sl.entries[i]
-	sl.drop(i)
-	return e, true
+	old := *e
+	sl.drop(e, way)
+	return old, true
 }
 
 // RemoveSharer clears host h from line's sharer set, dropping the entry when
 // the set empties. It reports whether an entry remains.
 func (d *DeviceDir) RemoveSharer(line config.Addr, h int) bool {
 	sl, _, base := d.setFor(line)
-	i := sl.find(base, d.ways, line)
-	if i < 0 {
+	var e *Entry
+	way := -1
+	if d.dense != nil {
+		e = &d.dense[line-d.first]
+	} else if way = sl.find(base, d.ways, line); way >= 0 {
+		e = &sl.entries[way]
+	}
+	if e == nil || e.State == DirInvalid {
 		return false
 	}
-	e := &sl.entries[i]
 	switch e.State {
 	case DirShared:
 		e.Sharers = e.Sharers.Without(h)
 		if e.Sharers.Empty() {
-			sl.drop(i)
+			sl.drop(e, way)
 			return false
 		}
 	case DirModified:
 		if int(e.Owner) == h {
-			sl.drop(i)
+			sl.drop(e, way)
 			return false
 		}
 	}

@@ -7,12 +7,12 @@ import (
 	"pipm/internal/config"
 )
 
-// anyLines is a line domain large enough that NewDeviceDir stores every
-// configured way.
+// anyLines is a line domain large enough that NewDeviceDir takes the
+// set-associative layout for every geometry in these tests.
 const anyLines = 1 << 40
 
 func tiny() *DeviceDir {
-	return NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2, LinkBW: 1}, anyLines)
+	return NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2, LinkBW: 1}, 0, anyLines)
 }
 
 func TestDirStateString(t *testing.T) {
@@ -157,7 +157,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 
 func TestDefaultGeometryMatchesTable2(t *testing.T) {
 	c := config.Default()
-	d := NewDeviceDir(c.CXL, anyLines)
+	d := NewDeviceDir(c.CXL, 0, anyLines)
 	if d.Capacity() != 2048*16*16 {
 		t.Fatalf("capacity = %d, want 524288", d.Capacity())
 	}
@@ -169,7 +169,7 @@ func TestNewRejectsBadSets(t *testing.T) {
 			t.Fatal("no panic for non-power-of-two sets")
 		}
 	}()
-	NewDeviceDir(config.CXLConfig{DirSets: 3, DirWays: 1, DirSlices: 1}, anyLines)
+	NewDeviceDir(config.CXLConfig{DirSets: 3, DirWays: 1, DirSlices: 1}, 0, anyLines)
 }
 
 func TestNewRejectsBadSlices(t *testing.T) {
@@ -178,7 +178,7 @@ func TestNewRejectsBadSlices(t *testing.T) {
 			t.Fatal("no panic for non-power-of-two slices")
 		}
 	}()
-	NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 1, DirSlices: 3}, anyLines)
+	NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 1, DirSlices: 3}, 0, anyLines)
 }
 
 func TestNewRejectsWideSets(t *testing.T) {
@@ -187,9 +187,9 @@ func TestNewRejectsWideSets(t *testing.T) {
 			t.Fatal("no panic for 17 ways")
 		}
 	}()
-	// Only one way can ever be occupied, but the configuration is still
-	// beyond what a recency word orders.
-	NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 17, DirSlices: 1}, 4)
+	// The 4-line domain takes the dense layout, which orders nothing, but
+	// the configuration is still beyond what a recency word orders.
+	NewDeviceDir(config.CXLConfig{DirSets: 4, DirWays: 17, DirSlices: 1}, 0, 4)
 }
 
 // Property: Update/Remove/RemoveSharer keep a shadow ledger exactly in sync.

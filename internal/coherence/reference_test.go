@@ -3,6 +3,7 @@ package coherence
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"unsafe"
 
@@ -187,37 +188,42 @@ type dirItem struct {
 // in-place updates, Update(DirInvalid) of present and absent lines,
 // RemoveSharer for owners, non-owners and sharers, and Remove. Every
 // return value, back-invalidation, per-slice occupancy and Stats, and the
-// final contents in ForEach order must agree. The first geometries draw
-// from three times the capacity, so sets overflow constantly (line 0, whose
-// tag is stored as 1, included) and sets of 2, 4, 12 and 16 ways evict
-// their LRU way. The last ones give NewDeviceDir a line domain small
-// enough that it stores fewer ways than configured; the reference keeps
-// every configured way.
+// final contents must agree. The first geometries draw from three times
+// the capacity, so sets overflow constantly (line 0, whose tag is stored
+// as 1, included) and sets of 2, 4, 12 and 16 ways evict their LRU way.
+// The next ones give NewDeviceDir a line domain small enough that no set
+// can overflow, so it takes the dense layout, down to the boundary where
+// each residue class holds exactly Ways lines; the last has one line more
+// and stays set-associative. The reference keeps every configured way.
+// The dense layout's ForEach visits lines in ascending order, so for those
+// rows the reference contents are sorted by line before comparing.
 func TestSplitLayoutMatchesReference(t *testing.T) {
 	geoms := []struct {
 		cfg   config.CXLConfig
 		hosts int
 		lines int64       // domain passed to NewDeviceDir
-		base  config.Addr // first line of the drawn range
+		base  config.Addr // first line of the domain and of the drawn range
 		space int64       // lines drawn from
-		ways  int         // ways NewDeviceDir stores
+		dense bool        // NewDeviceDir takes the dense layout
 	}{
-		{config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2}, 4, anyLines, 0, 48, 2},
-		{config.CXLConfig{DirSets: 8, DirWays: 16, DirSlices: 4}, 16, anyLines, 0, 3 * 512, 16},
-		{config.CXLConfig{DirSets: 2, DirWays: 4, DirSlices: 1}, 256, anyLines, 0, 24, 4},
-		{config.CXLConfig{DirSets: 2, DirWays: 16, DirSlices: 1}, 64, anyLines, 0, 3 * 32, 16},
-		{config.CXLConfig{DirSets: 4, DirWays: 12, DirSlices: 2}, 8, anyLines, 3, 3 * 96, 12},
-		{config.CXLConfig{DirSets: 16, DirWays: 16, DirSlices: 4}, 4, 100, 1<<24 + 5, 100, 2},
-		{config.CXLConfig{DirSets: 16, DirWays: 16, DirSlices: 4}, 256, 64, 12345, 64, 1},
-		{config.CXLConfig{DirSets: 8, DirWays: 4, DirSlices: 2}, 16, 48, 7, 48, 3},
+		{config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2}, 4, anyLines, 0, 48, false},
+		{config.CXLConfig{DirSets: 8, DirWays: 16, DirSlices: 4}, 16, anyLines, 0, 3 * 512, false},
+		{config.CXLConfig{DirSets: 2, DirWays: 4, DirSlices: 1}, 256, anyLines, 0, 24, false},
+		{config.CXLConfig{DirSets: 2, DirWays: 16, DirSlices: 1}, 64, anyLines, 0, 3 * 32, false},
+		{config.CXLConfig{DirSets: 4, DirWays: 12, DirSlices: 2}, 8, anyLines, 3, 3 * 96, false},
+		{config.CXLConfig{DirSets: 16, DirWays: 16, DirSlices: 4}, 4, 100, 1<<24 + 5, 100, true},
+		{config.CXLConfig{DirSets: 16, DirWays: 16, DirSlices: 4}, 256, 64, 12345, 64, true},
+		{config.CXLConfig{DirSets: 8, DirWays: 4, DirSlices: 2}, 16, 48, 7, 48, true},
+		{config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2}, 4, 16, 3, 16, true},
+		{config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2}, 4, 17, 3, 17, false},
 	}
 	for gi, g := range geoms {
 		shift := SharerShiftFor(g.hosts)
 		for seed := int64(1); seed <= 8; seed++ {
-			got, want := NewDeviceDir(g.cfg, g.lines), newRefDir(g.cfg)
-			if got.ways != g.ways || got.Capacity() != g.cfg.DirSets*g.cfg.DirWays*g.cfg.DirSlices {
-				t.Fatalf("geometry %d: stores %d ways, capacity %d; want %d ways, configured capacity",
-					gi, got.ways, got.Capacity(), g.ways)
+			got, want := NewDeviceDir(g.cfg, g.base, g.lines), newRefDir(g.cfg)
+			if (got.dense != nil) != g.dense || got.Capacity() != g.cfg.DirSets*g.cfg.DirWays*g.cfg.DirSlices {
+				t.Fatalf("geometry %d: dense %v, capacity %d; want dense %v, configured capacity",
+					gi, got.dense != nil, got.Capacity(), g.dense)
 			}
 			rng := rand.New(rand.NewSource(seed))
 			for op := 0; op < 20000; op++ {
@@ -277,6 +283,9 @@ func TestSplitLayoutMatchesReference(t *testing.T) {
 			var gc, wc []dirItem
 			got.ForEach(func(l config.Addr, e Entry) { gc = append(gc, dirItem{l, e}) })
 			want.ForEach(func(l config.Addr, e Entry) { wc = append(wc, dirItem{l, e}) })
+			if g.dense {
+				sort.Slice(wc, func(i, j int) bool { return wc[i].line < wc[j].line })
+			}
 			if !reflect.DeepEqual(gc, wc) {
 				t.Fatalf("geometry %d seed %d: contents differ (%d vs %d entries)", gi, seed, len(gc), len(wc))
 			}

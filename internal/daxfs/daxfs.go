@@ -22,6 +22,7 @@ package daxfs
 
 import (
 	"fmt"
+	"math"
 
 	"pipm/internal/config"
 	"pipm/internal/trace"
@@ -91,8 +92,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("daxfs: MetaFrac = %g, want (0, 1)", p.MetaFrac)
 	case p.HotLines < 1 || p.HotLines > config.LinesPerPage:
 		return fmt.Errorf("daxfs: HotLines = %d, want 1..%d", p.HotLines, config.LinesPerPage)
-	case p.FileZipfS < 0:
-		return fmt.Errorf("daxfs: FileZipfS = %g, want ≥ 0", p.FileZipfS)
+	case !(p.FileZipfS >= 0) || math.IsInf(p.FileZipfS, 1):
+		// NaN fails the comparison. An infinite skew makes the Zipf draw
+		// reject forever, and NaN would silently degrade to uniform.
+		return fmt.Errorf("daxfs: FileZipfS = %g, want finite and ≥ 0", p.FileZipfS)
 	case p.OwnFrac < 0 || p.OwnFrac > 1:
 		return fmt.Errorf("daxfs: OwnFrac = %g, want [0, 1]", p.OwnFrac)
 	case p.ExtentPages < 1:

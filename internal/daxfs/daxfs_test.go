@@ -1,6 +1,8 @@
 package daxfs
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"pipm/internal/config"
@@ -66,6 +68,15 @@ func TestValidateCatchesBadParams(t *testing.T) {
 	for name, p := range bad {
 		if p.Validate() == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// A non-finite skew is rejected by name: +Inf makes the Zipf draw
+	// reject forever and NaN would degrade to uniform.
+	for _, s := range []float64{math.Inf(1), math.NaN()} {
+		p := Default()
+		p.FileZipfS = s
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "FileZipfS") {
+			t.Errorf("FileZipfS = %g: Validate() = %v, want an error naming FileZipfS", s, err)
 		}
 	}
 	// Append knobs are free when the mix has no appends.

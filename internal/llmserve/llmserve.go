@@ -26,6 +26,7 @@ package llmserve
 
 import (
 	"fmt"
+	"math"
 
 	"pipm/internal/config"
 	"pipm/internal/trace"
@@ -116,8 +117,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("llmserve: WeightFrac = %g, want (0, 1]", p.WeightFrac)
 	case p.ShardFrac < 0 || p.ShardFrac > 1:
 		return fmt.Errorf("llmserve: ShardFrac = %g, want [0, 1]", p.ShardFrac)
-	case p.WeightZipfS < 0:
-		return fmt.Errorf("llmserve: WeightZipfS = %g, want ≥ 0", p.WeightZipfS)
+	case !(p.WeightZipfS >= 0) || math.IsInf(p.WeightZipfS, 1):
+		// NaN fails the comparison. An infinite skew makes the Zipf draw
+		// reject forever, and NaN would silently degrade to uniform.
+		return fmt.Errorf("llmserve: WeightZipfS = %g, want finite and ≥ 0", p.WeightZipfS)
 	case p.SlotPages < 1:
 		return fmt.Errorf("llmserve: SlotPages = %d, want ≥ 1", p.SlotPages)
 	case p.ArrivalMean < 0:
@@ -128,8 +131,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("llmserve: PrefillTokens = %d, want ≥ 0", p.PrefillTokens)
 	case p.ArrivalMean > 0 && p.DecodeTokens < 1:
 		return fmt.Errorf("llmserve: DecodeTokens = %d, want ≥ 1 when arrivals are on", p.DecodeTokens)
-	case p.SessionZipfS < 0:
-		return fmt.Errorf("llmserve: SessionZipfS = %g, want ≥ 0", p.SessionZipfS)
+	case !(p.SessionZipfS >= 0) || math.IsInf(p.SessionZipfS, 1):
+		return fmt.Errorf("llmserve: SessionZipfS = %g, want finite and ≥ 0", p.SessionZipfS)
 	case p.WeightReads < 1:
 		return fmt.Errorf("llmserve: WeightReads = %d, want ≥ 1", p.WeightReads)
 	case p.KVReadWindow < 0:

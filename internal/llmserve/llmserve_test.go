@@ -1,6 +1,8 @@
 package llmserve
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"pipm/internal/config"
@@ -68,6 +70,21 @@ func TestValidateCatchesBadParams(t *testing.T) {
 	for name, p := range bad {
 		if p.Validate() == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// A non-finite skew is rejected by name: +Inf makes the Zipf draw
+	// reject forever and NaN would degrade to uniform.
+	for _, field := range []string{"WeightZipfS", "SessionZipfS"} {
+		for _, s := range []float64{math.Inf(1), math.NaN()} {
+			p := Default()
+			if field == "WeightZipfS" {
+				p.WeightZipfS = s
+			} else {
+				p.SessionZipfS = s
+			}
+			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s = %g: Validate() = %v, want an error naming %s", field, s, err, field)
+			}
 		}
 	}
 	// Arrival-gated knobs are free when arrivals are off.

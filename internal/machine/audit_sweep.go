@@ -123,8 +123,10 @@ func (m *Machine) auditSweep(full bool) {
 		}
 	}
 	// Directory entries are joined by probing each cached line rather than
-	// scanning the directory's full backing array (sets×ways×slices entries,
-	// nearly all invalid): Peek is O(ways) per touched line. Any entry NOT
+	// scanning all of the directory's storage (one entry per pool line in
+	// the dense layout, sets×ways×slices ways in the set-associative one,
+	// nearly all invalid either way): Peek is one index per touched line in
+	// the dense layout and O(ways) in the set-associative one. Any entry NOT
 	// covered by a cached line is a conservation violation ("dir entry with
 	// no holders") — those can't be found by probing, so the probe count is
 	// cross-checked against Occupancy and the full scan runs only on

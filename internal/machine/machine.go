@@ -149,7 +149,6 @@ func New(cfg config.Config, scheme migration.Kind) (*Machine, error) {
 		eng:     sim.NewEngine(),
 		fabric:  cxl.New(cfg.Hosts, cfg.CXL),
 		cxlMem:  mem.New("cxl", cfg.CXLDRAM),
-		devDir:  coherence.NewDeviceDir(cfg.CXL, cfg.SharedPages()*config.LinesPerPage),
 		col:     newCollector(cfg),
 		clock:   cfg.CoreClock(),
 		l1Lat:   cfg.L1D.Latency,
@@ -160,6 +159,7 @@ func New(cfg config.Config, scheme migration.Kind) (*Machine, error) {
 		shShift:     coherence.SharerShiftFor(cfg.Hosts),
 		gEntryBytes: config.Addr(cfg.GlobalRemapEntrySize()),
 	}
+	m.devDir = coherence.NewDeviceDir(cfg.CXL, m.amap.SharedAddr(0)>>config.LineShift, cfg.SharedPages()*config.LinesPerPage)
 	llcCfg := cfg.LLC
 	llcCfg.SizeBytes *= cfg.CoresPerHost // Table 2: 2MB per core, shared
 	for h := 0; h < cfg.Hosts; h++ {
