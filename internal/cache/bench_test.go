@@ -12,7 +12,7 @@ var llc = config.CacheConfig{SizeBytes: 2 << 20, Ways: 16}
 
 // BenchmarkLookupHit hits the most recent way: Touch returns at once.
 func BenchmarkLookupHit(b *testing.B) {
-	c := New("b", llc)
+	c := New(llc)
 	c.Fill(42, Shared)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -23,7 +23,7 @@ func BenchmarkLookupHit(b *testing.B) {
 // BenchmarkLookupHitLRU cycles through the 16 lines of one full set, so
 // every lookup hits the least recent way and Touch moves all 16 ranks.
 func BenchmarkLookupHitLRU(b *testing.B) {
-	c := New("b", llc)
+	c := New(llc)
 	sets := config.Addr(llc.Sets())
 	for w := config.Addr(0); w < 16; w++ {
 		c.Fill(w*sets, Shared)
@@ -38,7 +38,7 @@ func BenchmarkLookupHitLRU(b *testing.B) {
 // LLC's capacity, filling on every miss: about half the lookups hit a way
 // at any rank and the rest evict the LRU way of a full set.
 func BenchmarkLookupFillMixed(b *testing.B) {
-	c := New("b", llc)
+	c := New(llc)
 	capacity := llc.SizeBytes / config.LineBytes
 	rng := rand.New(rand.NewSource(1))
 	stream := make([]config.Addr, 1<<16)
@@ -58,7 +58,7 @@ func BenchmarkLookupFillMixed(b *testing.B) {
 }
 
 func BenchmarkFillEvict(b *testing.B) {
-	c := New("b", config.CacheConfig{SizeBytes: 32 << 10, Ways: 8})
+	c := New(config.CacheConfig{SizeBytes: 32 << 10, Ways: 8})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Fill(config.Addr(i), Exclusive)
@@ -66,7 +66,7 @@ func BenchmarkFillEvict(b *testing.B) {
 }
 
 func BenchmarkInvalidatePage(b *testing.B) {
-	c := New("b", llc)
+	c := New(llc)
 	for l := config.Addr(0); l < config.LinesPerPage; l++ {
 		c.Fill(l, Modified)
 	}

@@ -94,10 +94,10 @@ func keyState(k uint64) State { return State(k & (1<<stateBits - 1)) }
 // New builds a cache from its configuration. The set count must be a power
 // of two and the associativity at most config.MaxWays (config.Validate
 // enforces both).
-func New(name string, cfg config.CacheConfig) *Cache {
+func New(cfg config.CacheConfig) *Cache {
 	sets := cfg.Sets()
 	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: %d sets is not a positive power of two", name, sets))
+		panic(fmt.Sprintf("cache: %d sets of %d ways: the set count is not a positive power of two", sets, cfg.Ways))
 	}
 	return &Cache{
 		ways:    cfg.Ways,

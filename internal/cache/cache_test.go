@@ -10,7 +10,7 @@ import (
 
 func small() *Cache {
 	// 4 sets × 2 ways.
-	return New("t", config.CacheConfig{SizeBytes: 4 * 2 * config.LineBytes, Ways: 2})
+	return New(config.CacheConfig{SizeBytes: 4 * 2 * config.LineBytes, Ways: 2})
 }
 
 func TestStateString(t *testing.T) {
@@ -135,7 +135,7 @@ func TestSetStateAndInvalidate(t *testing.T) {
 
 func TestInvalidatePage(t *testing.T) {
 	cfg := config.CacheConfig{SizeBytes: 256 * 8 * config.LineBytes, Ways: 8}
-	c := New("big", cfg)
+	c := New(cfg)
 	page := config.Addr(3)
 	base := page << config.PageLineShift
 	for l := config.Addr(0); l < config.LinesPerPage; l += 2 {
@@ -206,7 +206,7 @@ func TestCapacityProperty(t *testing.T) {
 // either still resident or was returned as an eviction/invalidation.
 func TestEvictionConservationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := New("t", config.CacheConfig{SizeBytes: 16 * 4 * config.LineBytes, Ways: 4})
+	c := New(config.CacheConfig{SizeBytes: 16 * 4 * config.LineBytes, Ways: 4})
 	live := make(map[config.Addr]bool)
 	for i := 0; i < 5000; i++ {
 		la := config.Addr(rng.Intn(256))
@@ -235,7 +235,7 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 			t.Fatal("no panic for non-power-of-two sets")
 		}
 	}()
-	New("bad", config.CacheConfig{SizeBytes: 3 * config.LineBytes, Ways: 1})
+	New(config.CacheConfig{SizeBytes: 3 * config.LineBytes, Ways: 1})
 }
 
 func TestNewRejectsWideSets(t *testing.T) {
@@ -244,5 +244,5 @@ func TestNewRejectsWideSets(t *testing.T) {
 			t.Fatal("no panic for 17 ways")
 		}
 	}()
-	New("wide", config.CacheConfig{SizeBytes: 4 * 17 * config.LineBytes, Ways: 17})
+	New(config.CacheConfig{SizeBytes: 4 * 17 * config.LineBytes, Ways: 17})
 }

@@ -169,7 +169,7 @@ func TestPackedMatchesReference(t *testing.T) {
 	states := []State{Shared, Exclusive, Modified, MigratedExclusive}
 	for gi, g := range geoms {
 		for seed := int64(1); seed <= 8; seed++ {
-			got, want := New("p", g), newRef(g)
+			got, want := New(g), newRef(g)
 			rng := rand.New(rand.NewSource(seed))
 			space := int64(g.SizeBytes/config.LineBytes) * 3
 			for op := 0; op < 20000; op++ {

@@ -31,7 +31,7 @@ func forLayouts(b *testing.B, fn func(b *testing.B, d *DeviceDir, dense bool)) {
 	}{{"set-assoc", table2Lines, false}, {"dense", quickLines, true}} {
 		b.Run(l.name, func(b *testing.B) {
 			d := NewDeviceDir(config.Default().CXL, benchFirst, l.lines)
-			if got := d.dense != nil; got != l.dense {
+			if got := d.tags == nil; got != l.dense {
 				b.Fatalf("%s: dense layout %v", l.name, got)
 			}
 			fn(b, d, l.dense)

@@ -39,8 +39,8 @@ func (s DirState) String() string {
 	}
 }
 
-// Entry is one directory entry's visible content. The field order packs
-// it into 24 bytes (the 16-byte SharerSet first, then the small fields).
+// Entry is one directory entry's visible content. The directory stores it
+// packed (see DeviceDir); Entry is the form its API takes and returns.
 type Entry struct {
 	Sharers SharerSet // caching hosts (valid in S)
 	Owner   int16     // owning host (valid in M)
@@ -85,40 +85,20 @@ func (s *Stats) add(o Stats) {
 }
 
 // dirSlice is one address-hashed slice of the directory: its O(1)
-// occupancy counter, its event counters and, in the set-associative
-// layout, its own ways and per-set recency words.
-//
-// Tags are kept apart from the entries (DESIGN.md §16.3), so a 16-way
-// probe scans 128 bytes of tags instead of 512 bytes of {tag, entry}
-// ways; an entry is touched only once its tag matched or it is the victim.
+// occupancy counter and its event counters.
 type dirSlice struct {
-	tags    []config.Addr // sets*ways; line+1, 0 = invalid
-	entries []Entry       // sets*ways
-	rec     cache.Recency
-	occ     int
-	stats   Stats
+	occ   int
+	stats Stats
 }
 
-// find returns the flat index of line's valid way in the set starting at
-// base, or -1.
-func (sl *dirSlice) find(base, ways int, line config.Addr) int {
-	for i, t := range sl.tags[base : base+ways] {
-		if t == line+1 {
-			return base + i
-		}
-	}
-	return -1
-}
-
-// drop clears the entry e, which sits at flat way index way in the
-// set-associative layout (way < 0 in the dense one).
-func (sl *dirSlice) drop(e *Entry, way int) {
-	*e = Entry{}
-	if way >= 0 {
-		sl.tags[way] = 0
-	}
-	sl.occ--
-}
+// The fields of a packed entry's meta word.
+const (
+	metaState    = 0x3 // bits 0–1: the DirState, 0 = no entry
+	metaCountPos = 2   // bits 2–10: the sharer count, at most config.MaxHosts
+	metaCount    = 0x1ff << metaCountPos
+	metaShiftPos = 11 // bits 11–12: the region shift
+	maxShift     = 3
+)
 
 // DeviceDir is the sliced device coherence directory. Geometry comes from
 // Table 2: Sets × Ways per slice, Slices slices; lines hash to a slice then
@@ -126,20 +106,37 @@ func (sl *dirSlice) drop(e *Entry, way int) {
 // is a mask, and harness.ScaleForHosts grows the slice count with the host
 // count so lookup ports keep pace.
 //
-// A geometry in which no set can overflow is stored as one entry per line
-// of the pool instead (DESIGN.md §16.3): dense[line-first], with State ==
-// DirInvalid meaning absent. Slice occupancy and counters are kept the same
-// way in both layouts.
+// Entries are stored packed, 10 bytes a slot (DESIGN.md §16.3): word[slot]
+// holds the sharer bits in S and the owner in M, meta[slot] the state, the
+// sharer count and the region shift. Only canonical entries are stored —
+// S with a zero Owner, M with a zero SharerSet — so the packing is exact,
+// and installing any other entry panics.
+//
+// A geometry in which no set can overflow is stored as one slot per line
+// of the pool (the dense layout): slot line-first, with state 0 meaning
+// absent. Otherwise a slot is a way, slice·Sets·Ways + set·Ways + way, and
+// tags (line+1, 0 = invalid) and one recency word per set sit beside the
+// entries, so a 16-way probe scans 128 bytes of tags and an entry is
+// touched only once its tag matched or it is the victim. Slice occupancy
+// and counters are kept the same way in both layouts.
 type DeviceDir struct {
-	sets, ways int
+	ways       int
 	capacity   int // configured entries, Sets × Ways × Slices
 	sliceMask  config.Addr
-	sliceShift uint
+	sliceShift uint        // log2(Slices)
+	setBits    uint        // log2(Sets)
+	setMask    config.Addr // Sets-1
 	slices     []dirSlice
 
-	// Dense layout (nil in the set-associative one).
-	first config.Addr // the pool's first line
-	dense []Entry     // indexed by line - first
+	// The packed entries, indexed by slot.
+	word []uint64
+	meta []uint16
+
+	first config.Addr // the pool's first line (dense layout)
+
+	// Set-associative layout (nil and empty in the dense one).
+	tags []config.Addr // line+1, 0 = invalid
+	rec  cache.Recency // per slice·Sets + set
 }
 
 // NewDeviceDir builds the directory from CXL configuration, for a memory
@@ -164,24 +161,24 @@ func NewDeviceDir(cfg config.CXLConfig, first config.Addr, lines int64) *DeviceD
 		panic(fmt.Sprintf("coherence: %d directory ways is outside 1..%d", cfg.DirWays, config.MaxWays))
 	}
 	d := &DeviceDir{
-		sets:       cfg.DirSets,
 		ways:       cfg.DirWays,
 		capacity:   cfg.DirSets * cfg.DirWays * cfg.DirSlices,
 		sliceMask:  config.Addr(cfg.DirSlices - 1),
 		sliceShift: uint(log2(cfg.DirSlices)),
+		setBits:    uint(log2(cfg.DirSets)),
+		setMask:    config.Addr(cfg.DirSets - 1),
 		slices:     make([]dirSlice, cfg.DirSlices),
 	}
+	slots := int(lines)
 	classes := int64(cfg.DirSlices) * int64(cfg.DirSets)
 	if (lines+classes-1)/classes <= int64(cfg.DirWays) {
 		d.first = first
-		d.dense = make([]Entry, lines)
-		return d
+	} else {
+		slots = d.capacity
+		d.tags = make([]config.Addr, slots)
+		d.rec = cache.NewRecency(cfg.DirSlices*cfg.DirSets, cfg.DirWays)
 	}
-	for i := range d.slices {
-		d.slices[i].tags = make([]config.Addr, cfg.DirSets*cfg.DirWays)
-		d.slices[i].entries = make([]Entry, cfg.DirSets*cfg.DirWays)
-		d.slices[i].rec = cache.NewRecency(cfg.DirSets, cfg.DirWays)
-	}
+	d.word, d.meta = make([]uint64, slots), make([]uint16, slots)
 	return d
 }
 
@@ -194,12 +191,13 @@ func (d *DeviceDir) Slices() int { return len(d.slices) }
 // SliceFor returns the slice index line hashes to.
 func (d *DeviceDir) SliceFor(line config.Addr) int { return int(line & d.sliceMask) }
 
-// setFor returns line's slice, its set within the slice and the flat index
-// of the set's first way (the set and index are those of the
-// set-associative layout).
-func (d *DeviceDir) setFor(line config.Addr) (sl *dirSlice, set, base int) {
-	set = int(line>>d.sliceShift) & (d.sets - 1)
-	return &d.slices[line&d.sliceMask], set, set * d.ways
+// sliceOf returns the slice line hashes to.
+func (d *DeviceDir) sliceOf(line config.Addr) *dirSlice { return &d.slices[line&d.sliceMask] }
+
+// setOf returns line's set in the set-associative layout, numbered
+// slice·Sets + set; the set's first way is slot set·Ways.
+func (d *DeviceDir) setOf(line config.Addr) int {
+	return int(line&d.sliceMask)<<d.setBits + int(line>>d.sliceShift&d.setMask)
 }
 
 // log2 returns the exponent of a power of two.
@@ -212,62 +210,117 @@ func log2(n int) int {
 	return e
 }
 
+// slot returns the slot of line's entry, or -1 when line has none. In the
+// dense layout a line outside the pool panics. It is written to stay
+// within the inliner's budget, so a dense probe costs no call.
+func (d *DeviceDir) slot(line config.Addr) int {
+	if d.tags == nil {
+		if i := int(line - d.first); d.meta[i] != 0 {
+			return i
+		}
+		return -1
+	}
+	base := d.setOf(line) * d.ways
+	for i, t := range d.tags[base : base+d.ways] {
+		if t == line+1 {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// get returns the entry stored at slot i (the zero Entry when empty).
+func (d *DeviceDir) get(i int) Entry {
+	switch DirState(d.meta[i] & metaState) {
+	case DirShared:
+		return Entry{State: DirShared, Sharers: d.sharers(i)}
+	case DirModified:
+		return Entry{State: DirModified, Owner: int16(d.word[i])}
+	}
+	return Entry{}
+}
+
+// sharers returns the sharer set stored at slot i, which is in state S.
+func (d *DeviceDir) sharers(i int) SharerSet {
+	m := d.meta[i]
+	return SharerSet{bits: d.word[i], count: m & metaCount >> metaCountPos, shift: uint8(m >> metaShiftPos)}
+}
+
+// put stores e, which must be canonical and valid, at slot i.
+func (d *DeviceDir) put(i int, e Entry) {
+	s := e.Sharers
+	switch {
+	case e.State == DirShared && e.Owner == 0 && s.count <= config.MaxHosts && s.shift <= maxShift:
+		d.word[i] = s.bits
+		d.meta[i] = uint16(DirShared) | s.count<<metaCountPos | uint16(s.shift)<<metaShiftPos
+	case e.State == DirModified && s == SharerSet{}:
+		d.word[i] = uint64(e.Owner)
+		d.meta[i] = uint16(DirModified)
+	default:
+		panic(nonCanonical(e))
+	}
+}
+
+// nonCanonical is put's panic value. It is formatted only when printed,
+// which keeps put within the inliner's budget.
+type nonCanonical Entry
+
+func (e nonCanonical) Error() string {
+	return fmt.Sprintf("coherence: directory entry %+v is not canonical", Entry(e))
+}
+
+// drop clears slot i of slice sl.
+func (d *DeviceDir) drop(sl *dirSlice, i int) {
+	d.word[i], d.meta[i] = 0, 0
+	if d.tags != nil {
+		d.tags[i] = 0
+	}
+	sl.occ--
+}
+
 // Lookup returns the entry for line, if present. It does not refresh LRU;
 // the Update that acts on the entry does.
 func (d *DeviceDir) Lookup(line config.Addr) (Entry, bool) {
-	sl, _, base := d.setFor(line)
+	sl := d.sliceOf(line)
 	sl.stats.Lookups++
-	var e *Entry
-	if d.dense != nil {
-		e = &d.dense[line-d.first]
-	} else if i := sl.find(base, d.ways, line); i >= 0 {
-		e = &sl.entries[i]
-	}
-	if e == nil || e.State == DirInvalid {
+	i := d.slot(line)
+	if i < 0 {
 		sl.stats.MissI++
 		return Entry{}, false
 	}
-	switch e.State {
-	case DirShared:
+	e := d.get(i)
+	if e.State == DirShared {
 		sl.stats.HitS++
-	case DirModified:
+	} else {
 		sl.stats.HitM++
 	}
-	return *e, true
+	return e, true
 }
 
 // Peek returns the entry for line without touching LRU order or lookup
 // statistics. Directory audits use this instead of Lookup so an audited run
 // keeps the exact same stats stream as an unaudited one.
 func (d *DeviceDir) Peek(line config.Addr) (Entry, bool) {
-	if d.dense != nil {
-		e := d.dense[line-d.first] // all zero when absent
-		return e, e.State != DirInvalid
-	}
-	sl, _, base := d.setFor(line)
-	if i := sl.find(base, d.ways, line); i >= 0 {
-		return sl.entries[i], true
+	if i := d.slot(line); i >= 0 {
+		return d.get(i), true
 	}
 	return Entry{}, false
 }
 
 // ForEach invokes fn for every valid entry without touching LRU order or
-// statistics (observation-only, for the invariant auditor). The dense
-// layout visits entries in ascending line order, the set-associative one
-// slice by slice in way order.
+// statistics (observation-only, for the invariant auditor), in slot
+// order: the dense layout visits lines in ascending order, the
+// set-associative one slice by slice in way order.
 func (d *DeviceDir) ForEach(fn func(line config.Addr, e Entry)) {
-	for i, e := range d.dense {
-		if e.State != DirInvalid {
-			fn(d.first+config.Addr(i), e)
+	for i, m := range d.meta {
+		if m&metaState == 0 {
+			continue
 		}
-	}
-	for s := range d.slices {
-		sl := &d.slices[s]
-		for i, t := range sl.tags {
-			if t != 0 {
-				fn(t-1, sl.entries[i])
-			}
+		line := d.first + config.Addr(i)
+		if d.tags != nil {
+			line = d.tags[i] - 1
 		}
+		fn(line, d.get(i))
 	}
 }
 
@@ -275,34 +328,37 @@ func (d *DeviceDir) ForEach(fn func(line config.Addr, e Entry)) {
 // back-invalidation if a victim in use had to be displaced. Passing an
 // entry with State == DirInvalid removes the line's entry instead.
 func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
-	if d.dense != nil {
-		sl, p := &d.slices[line&d.sliceMask], &d.dense[line-d.first]
-		switch {
-		case p.State != DirInvalid && e.State == DirInvalid:
-			sl.drop(p, -1)
-		case p.State != DirInvalid:
-			*p = e
-		case e.State != DirInvalid:
-			*p = e
-			sl.occ++
-			sl.stats.Installs++
-		}
-		return BackInvalidation{}, false
-	}
-	sl, set, base := d.setFor(line)
-	if i := sl.find(base, d.ways, line); i >= 0 {
+	sl := d.sliceOf(line)
+	if i := d.slot(line); i >= 0 {
 		if e.State == DirInvalid {
-			sl.drop(&sl.entries[i], i)
+			d.drop(sl, i)
 		} else {
-			sl.entries[i] = e
-			sl.rec.Touch(set, i-base)
+			d.put(i, e)
+			if d.tags != nil {
+				set := d.setOf(line)
+				d.rec.Touch(set, i-set*d.ways)
+			}
 		}
 		return BackInvalidation{}, false
 	}
 	if e.State == DirInvalid {
 		return BackInvalidation{}, false
 	}
-	tags, entries := sl.tags[base:base+d.ways], sl.entries[base:base+d.ways]
+	if d.tags == nil {
+		d.put(int(line-d.first), e)
+		sl.occ++
+		sl.stats.Installs++
+		return BackInvalidation{}, false
+	}
+	return d.install(sl, line, e)
+}
+
+// install places e for line, which has no entry, in a free way of its
+// set, or else in place of the set's LRU way, which it returns.
+func (d *DeviceDir) install(sl *dirSlice, line config.Addr, e Entry) (BackInvalidation, bool) {
+	set := d.setOf(line)
+	base := set * d.ways
+	tags := d.tags[base : base+d.ways]
 	victim := -1
 	for i, t := range tags {
 		if t == 0 {
@@ -313,15 +369,15 @@ func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
 	var bi BackInvalidation
 	evicted := victim < 0
 	if evicted {
-		victim = sl.rec.LRU(set)
-		bi = BackInvalidation{Line: tags[victim] - 1, Entry: entries[victim]}
+		victim = d.rec.LRU(set)
+		bi = BackInvalidation{Line: tags[victim] - 1, Entry: d.get(base + victim)}
 		sl.stats.BackInvals++
 	} else {
 		sl.occ++
 	}
 	tags[victim] = line + 1
-	entries[victim] = e
-	sl.rec.Touch(set, victim)
+	d.put(base+victim, e)
+	d.rec.Touch(set, victim)
 	sl.stats.Installs++
 	return bi, evicted
 }
@@ -329,46 +385,34 @@ func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
 // Remove drops line's entry (eviction notifications from hosts), returning
 // the entry it held.
 func (d *DeviceDir) Remove(line config.Addr) (Entry, bool) {
-	sl, _, base := d.setFor(line)
-	var e *Entry
-	way := -1
-	if d.dense != nil {
-		e = &d.dense[line-d.first]
-	} else if way = sl.find(base, d.ways, line); way >= 0 {
-		e = &sl.entries[way]
-	}
-	if e == nil || e.State == DirInvalid {
+	i := d.slot(line)
+	if i < 0 {
 		return Entry{}, false
 	}
-	old := *e
-	sl.drop(e, way)
-	return old, true
+	e := d.get(i)
+	d.drop(d.sliceOf(line), i)
+	return e, true
 }
 
 // RemoveSharer clears host h from line's sharer set, dropping the entry when
-// the set empties. It reports whether an entry remains.
+// the set empties. It reports whether an entry remains. The packed entry
+// is edited in place.
 func (d *DeviceDir) RemoveSharer(line config.Addr, h int) bool {
-	sl, _, base := d.setFor(line)
-	var e *Entry
-	way := -1
-	if d.dense != nil {
-		e = &d.dense[line-d.first]
-	} else if way = sl.find(base, d.ways, line); way >= 0 {
-		e = &sl.entries[way]
-	}
-	if e == nil || e.State == DirInvalid {
+	i := d.slot(line)
+	if i < 0 {
 		return false
 	}
-	switch e.State {
+	switch m := d.meta[i]; DirState(m & metaState) {
 	case DirShared:
-		e.Sharers = e.Sharers.Without(h)
-		if e.Sharers.Empty() {
-			sl.drop(e, way)
+		s := d.sharers(i).Without(h)
+		if s.Empty() {
+			d.drop(d.sliceOf(line), i)
 			return false
 		}
+		d.word[i], d.meta[i] = s.bits, m&^metaCount|s.count<<metaCountPos
 	case DirModified:
-		if int(e.Owner) == h {
-			sl.drop(e, way)
+		if int(int16(d.word[i])) == h {
+			d.drop(d.sliceOf(line), i)
 			return false
 		}
 	}

@@ -4,5 +4,8 @@ package coherence
 // the set-associative layout) and the ways stored per set (0 in the dense
 // layout).
 func Layout(d *DeviceDir) (denseLines, ways int) {
-	return len(d.dense), len(d.slices[0].tags) / d.sets
+	if d.tags == nil {
+		return len(d.meta), 0
+	}
+	return 0, len(d.tags) / (int(d.setMask+1) * len(d.slices))
 }

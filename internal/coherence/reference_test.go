@@ -194,7 +194,10 @@ type dirItem struct {
 // The next ones give NewDeviceDir a line domain small enough that no set
 // can overflow, so it takes the dense layout, down to the boundary where
 // each residue class holds exactly Ways lines; the last has one line more
-// and stays set-associative. The reference keeps every configured way.
+// and stays set-associative. The last two hold 256 hosts in summary mode
+// over a dozen or two lines, one layout each: their sets grow one host at
+// a time up to all 256, so the packed count and region shift cover their
+// whole range. The reference keeps every configured way.
 // The dense layout's ForEach visits lines in ascending order, so for those
 // rows the reference contents are sorted by line before comparing.
 func TestSplitLayoutMatchesReference(t *testing.T) {
@@ -216,14 +219,16 @@ func TestSplitLayoutMatchesReference(t *testing.T) {
 		{config.CXLConfig{DirSets: 8, DirWays: 4, DirSlices: 2}, 16, 48, 7, 48, true},
 		{config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2}, 4, 16, 3, 16, true},
 		{config.CXLConfig{DirSets: 4, DirWays: 2, DirSlices: 2}, 4, 17, 3, 17, false},
+		{config.CXLConfig{DirSets: 2, DirWays: 2, DirSlices: 2}, 256, anyLines, 9, 24, false},
+		{config.CXLConfig{DirSets: 8, DirWays: 4, DirSlices: 2}, 256, 12, 1 << 20, 12, true},
 	}
 	for gi, g := range geoms {
 		shift := SharerShiftFor(g.hosts)
 		for seed := int64(1); seed <= 8; seed++ {
 			got, want := NewDeviceDir(g.cfg, g.base, g.lines), newRefDir(g.cfg)
-			if (got.dense != nil) != g.dense || got.Capacity() != g.cfg.DirSets*g.cfg.DirWays*g.cfg.DirSlices {
+			if (got.tags == nil) != g.dense || got.Capacity() != g.cfg.DirSets*g.cfg.DirWays*g.cfg.DirSlices {
 				t.Fatalf("geometry %d: dense %v, capacity %d; want dense %v, configured capacity",
-					gi, got.dense != nil, got.Capacity(), g.dense)
+					gi, got.tags == nil, got.Capacity(), g.dense)
 			}
 			rng := rand.New(rand.NewSource(seed))
 			for op := 0; op < 20000; op++ {
@@ -241,12 +246,19 @@ func TestSplitLayoutMatchesReference(t *testing.T) {
 					a, b = [2]any{ga, gb}, [2]any{wa, wb}
 				case r < 65:
 					e := Entry{State: DirModified, Owner: int16(h)}
-					switch rng.Intn(3) {
+					switch rng.Intn(4) {
 					case 0:
 						// Summary-mode sets require distinct members.
 						e = Entry{State: DirShared, Sharers: SharerSetOf(shift, h, (h+1)%g.hosts)}
 					case 1:
 						e = Entry{State: DirInvalid}
+					case 2:
+						// Grow a resident set by one host, as a read miss
+						// does, or install every host at once.
+						e = Entry{State: DirShared, Sharers: allHosts(shift, g.hosts)}
+						if w, ok := want.Peek(line); ok && w.State == DirShared && w.Sharers.Count() < g.hosts {
+							e.Sharers = w.Sharers.With(h)
+						}
 					}
 					ga, gb := got.Update(line, e)
 					wa, wb := want.Update(line, e)
@@ -293,9 +305,14 @@ func TestSplitLayoutMatchesReference(t *testing.T) {
 	}
 }
 
-// The field order of Entry is chosen for size: a way costs an 8-byte tag
-// plus a 24-byte entry, and each set one 8-byte recency word.
+// A stored entry costs a sharer/owner word plus a meta word, 10 bytes a
+// slot; a set-associative way adds an 8-byte tag, and each set one 8-byte
+// recency word. The Entry the API passes is 24 bytes.
 func TestWayFootprint(t *testing.T) {
+	var d DeviceDir
+	if s := unsafe.Sizeof(d.word[0]) + unsafe.Sizeof(d.meta[0]); s != 10 {
+		t.Errorf("a packed slot is %d bytes, want 10", s)
+	}
 	if s := unsafe.Sizeof(Entry{}); s != 24 {
 		t.Errorf("Entry is %d bytes, want 24", s)
 	}

@@ -6,8 +6,6 @@
 package cxl
 
 import (
-	"fmt"
-
 	"pipm/internal/config"
 	"pipm/internal/sim"
 )
@@ -49,13 +47,13 @@ func New(hosts int, cfg config.CXLConfig) *Fabric {
 	// as additional propagation on every transfer.
 	prop := cfg.LinkLatency * sim.Time(1+cfg.SwitchHops)
 	for h := 0; h < hosts; h++ {
-		f.up = append(f.up, sim.NewPipe(fmt.Sprintf("cxl.h%d.up", h), cfg.LinkBW, prop))
-		f.down = append(f.down, sim.NewPipe(fmt.Sprintf("cxl.h%d.down", h), cfg.LinkBW, prop))
-		f.upBG = append(f.upBG, sim.NewPipe(fmt.Sprintf("cxl.h%d.upbg", h), cfg.LinkBW, prop))
-		f.downBG = append(f.downBG, sim.NewPipe(fmt.Sprintf("cxl.h%d.downbg", h), cfg.LinkBW, prop))
+		f.up = append(f.up, sim.NewPipe(cfg.LinkBW, prop))
+		f.down = append(f.down, sim.NewPipe(cfg.LinkBW, prop))
+		f.upBG = append(f.upBG, sim.NewPipe(cfg.LinkBW, prop))
+		f.downBG = append(f.downBG, sim.NewPipe(cfg.LinkBW, prop))
 	}
 	for s := 0; s < cfg.DirSlices; s++ {
-		f.dirPorts = append(f.dirPorts, sim.NewResource(fmt.Sprintf("cxl.dir%d", s)))
+		f.dirPorts = append(f.dirPorts, sim.NewResource())
 	}
 	return f
 }

@@ -148,7 +148,7 @@ func New(cfg config.Config, scheme migration.Kind) (*Machine, error) {
 		scheme:  scheme,
 		eng:     sim.NewEngine(),
 		fabric:  cxl.New(cfg.Hosts, cfg.CXL),
-		cxlMem:  mem.New("cxl", cfg.CXLDRAM),
+		cxlMem:  mem.New(cfg.CXLDRAM),
 		col:     newCollector(cfg),
 		clock:   cfg.CoreClock(),
 		l1Lat:   cfg.L1D.Latency,
@@ -165,14 +165,14 @@ func New(cfg config.Config, scheme migration.Kind) (*Machine, error) {
 	for h := 0; h < cfg.Hosts; h++ {
 		hs := &host{
 			id:   h,
-			llc:  cache.New(fmt.Sprintf("h%d.llc", h), llcCfg),
-			dram: mem.New(fmt.Sprintf("h%d.dram", h), cfg.LocalDRAM),
+			llc:  cache.New(llcCfg),
+			dram: mem.New(cfg.LocalDRAM),
 		}
 		for c := 0; c < cfg.CoresPerHost; c++ {
 			hs.cores = append(hs.cores, &coreState{
 				host:   hs,
 				id:     c,
-				l1:     cache.New(fmt.Sprintf("h%d.c%d.l1d", h, c), cfg.L1D),
+				l1:     cache.New(cfg.L1D),
 				tlb:    tlb.NewTLB(cfg.TLBEntries, cfg.TLBWays),
 				window: make([]pending, cfg.MSHRs),
 			})

@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkAccessSequential(b *testing.B) {
-	d := New("b", config.Default().CXLDRAM)
+	d := New(config.Default().CXLDRAM)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Access(0, config.Addr(i*config.LineBytes), false)
@@ -15,7 +15,7 @@ func BenchmarkAccessSequential(b *testing.B) {
 }
 
 func BenchmarkAccessRandomish(b *testing.B) {
-	d := New("b", config.Default().CXLDRAM)
+	d := New(config.Default().CXLDRAM)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Access(0, config.Addr(i*7919*config.LineBytes), i&3 == 0)
@@ -23,7 +23,7 @@ func BenchmarkAccessRandomish(b *testing.B) {
 }
 
 func BenchmarkAccessBulkPage(b *testing.B) {
-	d := New("b", config.Default().CXLDRAM)
+	d := New(config.Default().CXLDRAM)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.AccessBulk(0, config.Addr(i)*config.PageBytes, config.PageBytes, true)

@@ -8,8 +8,6 @@
 package mem
 
 import (
-	"fmt"
-
 	"pipm/internal/config"
 	"pipm/internal/sim"
 )
@@ -62,23 +60,21 @@ type Stats struct {
 // bandwidth-limited data bus.
 type DRAM struct {
 	cfg      config.DRAMConfig
-	name     string
 	channels []channel
 	burst    sim.Time // 64B serialization on one channel's bus
 	stats    Stats
 }
 
 // New builds a DRAM pool from its configuration.
-func New(name string, cfg config.DRAMConfig) *DRAM {
+func New(cfg config.DRAMConfig) *DRAM {
 	d := &DRAM{
 		cfg:   cfg,
-		name:  name,
 		burst: sim.Time(float64(config.LineBytes) / cfg.ChannelBW * float64(sim.Second)),
 	}
 	d.channels = make([]channel, cfg.Channels)
 	for i := range d.channels {
 		d.channels[i] = channel{
-			bus:   sim.NewResource(fmt.Sprintf("%s.ch%d", name, i)),
+			bus:   sim.NewResource(),
 			banks: make([]bank, cfg.BanksPerChan),
 		}
 	}
@@ -191,9 +187,6 @@ func (d *DRAM) AccessBulk(now sim.Time, addr config.Addr, n int, write bool) sim
 
 // Stats returns accumulated counters.
 func (d *DRAM) Stats() Stats { return d.stats }
-
-// Name returns the pool's diagnostic name.
-func (d *DRAM) Name() string { return d.name }
 
 // BusyTime sums data-bus busy time across channels.
 func (d *DRAM) BusyTime() sim.Time {

@@ -14,7 +14,7 @@ func testCfg() config.DRAMConfig {
 }
 
 func TestFirstAccessIsClosedRow(t *testing.T) {
-	d := New("t", testCfg())
+	d := New(testCfg())
 	done, kind := d.AccessKind(0, 0, false)
 	if kind != RowClosed {
 		t.Fatalf("first access kind = %v, want row-closed", kind)
@@ -28,7 +28,7 @@ func TestFirstAccessIsClosedRow(t *testing.T) {
 }
 
 func TestRowHitIsFaster(t *testing.T) {
-	d := New("t", testCfg())
+	d := New(testCfg())
 	first := d.Access(0, 0, false)
 	// Same row, much later (no queueing): should be a hit with only tCL.
 	start := 10 * sim.Microsecond
@@ -44,7 +44,7 @@ func TestRowHitIsFaster(t *testing.T) {
 
 func TestRowConflictIsSlowest(t *testing.T) {
 	cfg := testCfg()
-	d := New("t", cfg)
+	d := New(cfg)
 	// Two rows mapping to the same bank of the same channel: rows step by
 	// banks*channels at row granularity.
 	stride := config.Addr(rowBytes * cfg.BanksPerChan * cfg.Channels)
@@ -62,7 +62,7 @@ func TestRowConflictIsSlowest(t *testing.T) {
 
 func TestTRCLimitsActivateRate(t *testing.T) {
 	cfg := testCfg()
-	d := New("t", cfg)
+	d := New(cfg)
 	stride := config.Addr(rowBytes * cfg.BanksPerChan * cfg.Channels)
 	// Alternate between two conflicting rows back-to-back: activates to the
 	// same bank must be ≥ tRC apart, so 10 accesses take ≥ 9·tRC.
@@ -79,7 +79,7 @@ func TestTRCLimitsActivateRate(t *testing.T) {
 func TestChannelInterleaving(t *testing.T) {
 	c := config.Default()
 	cfg := c.CXLDRAM // 2 channels
-	d := New("t", cfg)
+	d := New(cfg)
 	// Adjacent lines land on different channels.
 	ch0, _, _ := d.route(0)
 	ch1, _, _ := d.route(1)
@@ -88,7 +88,7 @@ func TestChannelInterleaving(t *testing.T) {
 	}
 	// Parallel streams to both channels should overlap: total time for 2N
 	// accesses split across channels ≲ time for 2N on one channel.
-	single := New("s", config.DRAMConfig{Channels: 1, BanksPerChan: cfg.BanksPerChan,
+	single := New(config.DRAMConfig{Channels: 1, BanksPerChan: cfg.BanksPerChan,
 		TRC: cfg.TRC, TRCD: cfg.TRCD, TCL: cfg.TCL, TRP: cfg.TRP, ChannelBW: cfg.ChannelBW})
 	var doneDual, doneSingle sim.Time
 	for i := 0; i < 256; i++ {
@@ -103,7 +103,7 @@ func TestChannelInterleaving(t *testing.T) {
 
 func TestBusSerializesBandwidth(t *testing.T) {
 	cfg := testCfg()
-	d := New("t", cfg)
+	d := New(cfg)
 	// Hammer one row: all row hits, so the channel bus becomes the
 	// bottleneck and throughput ≈ ChannelBW.
 	d.Access(0, 0, false) // open the row
@@ -124,7 +124,7 @@ func TestBusSerializesBandwidth(t *testing.T) {
 
 func TestAccessBulkPageTransfer(t *testing.T) {
 	cfg := testCfg()
-	d := New("t", cfg)
+	d := New(cfg)
 	done := d.AccessBulk(0, 0, config.PageBytes, true)
 	// 4KB must take at least its serialization time at channel bandwidth.
 	minSerial := sim.Time(float64(config.PageBytes) / cfg.ChannelBW * float64(sim.Second))
@@ -140,7 +140,7 @@ func TestAccessBulkPageTransfer(t *testing.T) {
 }
 
 func TestStatsAndReset(t *testing.T) {
-	d := New("t", testCfg())
+	d := New(testCfg())
 	d.Access(0, 0, false)
 	d.Access(0, 0, true)
 	s := d.Stats()
@@ -169,7 +169,7 @@ func TestKindString(t *testing.T) {
 // bounded below by tCL+burst and above by tRP+tRCD+tCL+burst plus queueing.
 func TestLatencyBoundsProperty(t *testing.T) {
 	cfg := testCfg()
-	d := New("t", cfg)
+	d := New(cfg)
 	burst := sim.Time(float64(config.LineBytes) / cfg.ChannelBW * float64(sim.Second))
 	now := sim.Time(0)
 	f := func(lineHop uint16, gap uint8) bool {

@@ -12,7 +12,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 }
 
 func BenchmarkResourceAcquire(b *testing.B) {
-	r := NewResource("b")
+	r := NewResource()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Acquire(Time(i)*Nanosecond, Nanosecond)
@@ -20,7 +20,7 @@ func BenchmarkResourceAcquire(b *testing.B) {
 }
 
 func BenchmarkPipeSend(b *testing.B) {
-	p := NewPipe("b", 5e9, 50*Nanosecond)
+	p := NewPipe(5e9, 50*Nanosecond)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Send(Time(i)*100*Nanosecond, 64)

@@ -10,7 +10,6 @@ package sim
 // invokes in (approximately) global time order, so FCFS holds to within one
 // walk. This is the standard fast-simulator approximation.
 type Resource struct {
-	name     string
 	nextFree Time
 
 	// Accounting.
@@ -19,11 +18,8 @@ type Resource struct {
 	requests uint64 // number of Acquire calls
 }
 
-// NewResource returns an idle resource with the given diagnostic name.
-func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name returns the diagnostic name.
-func (r *Resource) Name() string { return r.name }
+// NewResource returns an idle resource.
+func NewResource() *Resource { return &Resource{} }
 
 // Acquire reserves the resource for service duration d starting no earlier
 // than now, and returns the completion time.
@@ -77,12 +73,12 @@ type Pipe struct {
 
 // NewPipe returns a pipe with the given bandwidth in bytes/second and fixed
 // propagation delay. Bandwidth must be positive.
-func NewPipe(name string, bytesPerSecond float64, propagation Time) *Pipe {
+func NewPipe(bytesPerSecond float64, propagation Time) *Pipe {
 	if bytesPerSecond <= 0 {
 		panic("sim: pipe bandwidth must be positive")
 	}
 	return &Pipe{
-		res:         NewResource(name),
+		res:         NewResource(),
 		picosPerByt: float64(Second) / bytesPerSecond,
 		propagation: propagation,
 	}

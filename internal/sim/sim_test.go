@@ -174,7 +174,7 @@ func TestEngineDeterminism(t *testing.T) {
 }
 
 func TestResourceFCFS(t *testing.T) {
-	r := NewResource("chan0")
+	r := NewResource()
 	// Back-to-back requests queue behind each other.
 	if done := r.Acquire(0, 10*Nanosecond); done != 10*Nanosecond {
 		t.Fatalf("first done = %v", done)
@@ -198,7 +198,7 @@ func TestResourceFCFS(t *testing.T) {
 }
 
 func TestResourceUtilization(t *testing.T) {
-	r := NewResource("x")
+	r := NewResource()
 	r.Acquire(0, 30*Nanosecond)
 	if u := r.Utilization(60 * Nanosecond); u != 0.5 {
 		t.Fatalf("Utilization = %v, want 0.5", u)
@@ -216,7 +216,7 @@ func TestResourceUtilization(t *testing.T) {
 // run backwards, regardless of arrival pattern.
 func TestResourceNoOverlapProperty(t *testing.T) {
 	f := func(arrivals []uint16, services []uint8) bool {
-		r := NewResource("p")
+		r := NewResource()
 		now := Time(0)
 		prevDone := Time(0)
 		n := len(arrivals)
@@ -244,7 +244,7 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 
 func TestPipeSerialization(t *testing.T) {
 	// 5 GB/s, 50ns propagation: one 64B flit serializes in 12.8ns.
-	p := NewPipe("up", 5e9, 50*Nanosecond)
+	p := NewPipe(5e9, 50*Nanosecond)
 	done := p.Send(0, 64)
 	want := Time(12.8*float64(Nanosecond)) + 50*Nanosecond
 	if done != want {
@@ -265,7 +265,7 @@ func TestPipeSerialization(t *testing.T) {
 func TestPipePageTransferOccupancy(t *testing.T) {
 	// Moving a 4KB page over a 5 GB/s link should occupy it ~819.2ns,
 	// delaying a demand flit that arrives mid-transfer.
-	p := NewPipe("up", 5e9, 50*Nanosecond)
+	p := NewPipe(5e9, 50*Nanosecond)
 	p.Send(0, 4096)
 	demandDone := p.Send(100*Nanosecond, 64)
 	if demandDone <= Time(819.2*float64(Nanosecond)) {
@@ -279,5 +279,5 @@ func TestPipeRejectsZeroBandwidth(t *testing.T) {
 			t.Error("NewPipe(0 B/s) did not panic")
 		}
 	}()
-	NewPipe("bad", 0, 0)
+	NewPipe(0, 0)
 }
