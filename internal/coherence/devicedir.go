@@ -328,56 +328,80 @@ func (d *DeviceDir) ForEach(fn func(line config.Addr, e Entry)) {
 // back-invalidation if a victim in use had to be displaced. Passing an
 // entry with State == DirInvalid removes the line's entry instead.
 func (d *DeviceDir) Update(line config.Addr, e Entry) (BackInvalidation, bool) {
+	if d.tags != nil {
+		return d.updateSet(line, e)
+	}
 	sl := d.sliceOf(line)
 	if i := d.slot(line); i >= 0 {
 		if e.State == DirInvalid {
 			d.drop(sl, i)
 		} else {
 			d.put(i, e)
-			if d.tags != nil {
-				set := d.setOf(line)
-				d.rec.Touch(set, i-set*d.ways)
-			}
 		}
 		return BackInvalidation{}, false
 	}
 	if e.State == DirInvalid {
 		return BackInvalidation{}, false
 	}
-	if d.tags == nil {
-		d.put(int(line-d.first), e)
-		sl.occ++
-		sl.stats.Installs++
-		return BackInvalidation{}, false
-	}
-	return d.install(sl, line, e)
+	d.put(int(line-d.first), e)
+	sl.occ++
+	sl.stats.Installs++
+	return BackInvalidation{}, false
 }
 
-// install places e for line, which has no entry, in a free way of its
-// set, or else in place of the set's LRU way, which it returns.
-func (d *DeviceDir) install(sl *dirSlice, line config.Addr, e Entry) (BackInvalidation, bool) {
+// probe scans a set's tags once. It returns the way holding tag and true,
+// or else the first free way (-1 when the set is full) and false.
+func probe(tags []config.Addr, tag config.Addr) (int, bool) {
+	for w, t := range tags {
+		if t == tag {
+			return w, true
+		}
+		if t == 0 {
+			// The ways past the first free one need only the tag compare.
+			for v, t := range tags[w+1:] {
+				if t == tag {
+					return w + 1 + v, true
+				}
+			}
+			return w, false
+		}
+	}
+	return -1, false
+}
+
+// updateSet is Update in the set-associative layout. One scan of the set's
+// tags finds line's way or, when line has none, the first free way; an
+// install into a full set displaces the LRU way, which it returns.
+func (d *DeviceDir) updateSet(line config.Addr, e Entry) (BackInvalidation, bool) {
+	sl := d.sliceOf(line)
 	set := d.setOf(line)
 	base := set * d.ways
 	tags := d.tags[base : base+d.ways]
-	victim := -1
-	for i, t := range tags {
-		if t == 0 {
-			victim = i
-			break
+	way, hit := probe(tags, line+1)
+	if hit {
+		if e.State == DirInvalid {
+			d.drop(sl, base+way)
+		} else {
+			d.put(base+way, e)
+			d.rec.Touch(set, way)
 		}
+		return BackInvalidation{}, false
+	}
+	if e.State == DirInvalid {
+		return BackInvalidation{}, false
 	}
 	var bi BackInvalidation
-	evicted := victim < 0
+	evicted := way < 0
 	if evicted {
-		victim = d.rec.LRU(set)
-		bi = BackInvalidation{Line: tags[victim] - 1, Entry: d.get(base + victim)}
+		way = d.rec.LRU(set)
+		bi = BackInvalidation{Line: tags[way] - 1, Entry: d.get(base + way)}
 		sl.stats.BackInvals++
 	} else {
 		sl.occ++
 	}
-	tags[victim] = line + 1
-	d.put(base+victim, e)
-	d.rec.Touch(set, victim)
+	tags[way] = line + 1
+	d.put(base+way, e)
+	d.rec.Touch(set, way)
 	sl.stats.Installs++
 	return bi, evicted
 }

@@ -45,7 +45,9 @@ func BenchmarkRemapCacheLookup(b *testing.B) {
 }
 
 func BenchmarkLocalTableInsertRemove(b *testing.B) {
-	t := NewLocalTable(1 << 20)
+	t := &NewLocalTables(1<<20, 1)[0]
+	t.Insert(0, 8) // allocates the entry array
+	t.Remove(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := int64(i) & 0xFFFFF

@@ -37,7 +37,7 @@ type Manager struct {
 
 	global *GlobalTable
 	gcache *RemapCache
-	local  []*LocalTable
+	local  []LocalTable // per-host views of one shared page-indexed store
 	lcache []*RemapCache
 
 	// hints holds the §6 software interface's per-page modes (lazily
@@ -76,9 +76,9 @@ func NewManager(p Params) *Manager {
 		static:    p.Static,
 		global:    NewGlobalTable(p.SharedPages, p.Hosts),
 		gcache:    NewRemapCache(p.GlobalCacheEntries, p.GlobalCacheWays, p.SharedPages),
+		local:     NewLocalTables(p.SharedPages, p.Hosts),
 	}
 	for h := 0; h < p.Hosts; h++ {
-		m.local = append(m.local, NewLocalTable(p.SharedPages))
 		m.lcache = append(m.lcache, NewRemapCache(p.LocalCacheEntries, p.LocalCacheWays, p.SharedPages))
 	}
 	if p.Static {
@@ -193,15 +193,9 @@ func (m *Manager) DeviceAccess(h int, page int64) Outcome {
 // the incremental migration of case ① (Loc-WB of an M/E block of a page
 // migrated here). It reports whether the bit was newly set.
 func (m *Manager) MigrateLine(h int, page int64, l int) bool {
-	e, ok := m.local[h].Lookup(page)
-	if !ok {
+	if !m.local[h].MigrateLine(page, l) {
 		return false
 	}
-	bit := uint64(1) << uint(l)
-	if e.Bitmap&bit != 0 {
-		return false
-	}
-	e.Bitmap |= bit
 	m.stats.LinesMigrated++
 	return true
 }
@@ -210,15 +204,9 @@ func (m *Manager) MigrateLine(h int, page int64, l int) bool {
 // migrate-back of cases ②⑤⑥ (inter-host access to a migrated line). It
 // reports whether the bit was set.
 func (m *Manager) DemoteLine(h int, page int64, l int) bool {
-	e, ok := m.local[h].Lookup(page)
-	if !ok {
+	if !m.local[h].DemoteLine(page, l) {
 		return false
 	}
-	bit := uint64(1) << uint(l)
-	if e.Bitmap&bit == 0 {
-		return false
-	}
-	e.Bitmap &^= bit
 	m.stats.LinesDemoted++
 	return true
 }
@@ -246,7 +234,9 @@ func (m *Manager) OwnedPages() int { return m.global.OwnedPages() }
 // counts, per-slice occupancy, size accounting).
 func (m *Manager) GlobalTableRef() *GlobalTable { return m.global }
 
-// MigratedLines returns the number of lines currently migrated to host h.
+// MigratedLines returns the number of lines currently migrated to host h,
+// from the local table's O(1) counter (the auditor cross-checks it against a
+// full walk).
 func (m *Manager) MigratedLines(h int) int { return m.local[h].MigratedLines() }
 
 // GlobalEntryAt returns a value copy of page's global remapping record
@@ -264,12 +254,6 @@ func (m *Manager) PeekLocal(h int, page int64) (LocalEntry, bool) {
 		return LocalEntry{}, false
 	}
 	return *e, true
-}
-
-// ForEachLocal invokes fn for every page partially migrated to host h, in
-// ascending page order, passing value copies (observation-only).
-func (m *Manager) ForEachLocal(h int, fn func(page int64, e LocalEntry)) {
-	m.local[h].ForEach(fn)
 }
 
 // GlobalCache and LocalCache expose the remap caches for stats/latency.

@@ -1,8 +1,9 @@
 // Package core implements the PIPM hardware proper (§4 of the paper): the
 // global remapping table on the CXL memory node, the per-host local
-// remapping tables (two-level radix), the on-die remapping caches in front
-// of both, the Boyer–Moore-style majority-vote migration policy, and the
-// per-line migrated-state bitmaps that realize the in-memory I'/ME bits.
+// remapping tables (views of one page-indexed store all hosts share), the
+// on-die remapping caches in front of both, the Boyer–Moore-style
+// majority-vote migration policy, and the per-line migrated-state bitmaps
+// that realize the in-memory I'/ME bits.
 package core
 
 import (
@@ -150,128 +151,122 @@ type LocalEntry struct {
 	Bitmap  uint64 // bit l set ⇔ line l of the page is migrated (I'/ME side)
 }
 
-const leafEntries = 1024 // 1K entries per leaf, as in §4.4
+// leafEntries is the leaf size of §4.4's two-level radix table, which
+// SizeBytes charges one 8-byte root entry per.
+const leafEntries = 1024
 
-type localLeaf struct {
-	valid   [leafEntries]bool
-	entries [leafEntries]LocalEntry
+// localStore holds every host's local remapping entries, indexed by page.
+// PIPM partially migrates a page to at most one host, the global entry's
+// CurHost (§4.2), so one slot per page serves the whole cluster.
+type localStore struct {
+	owner   []uint16     // holding host+1, 0 = no entry
+	entries []LocalEntry // allocated on the first Insert
 }
 
-// LocalTable is one host's local remapping table, a two-level radix table:
-// a root indexing fixed 1K-entry leaves, allocated on demand. Only pages
-// partially migrated to this host have entries.
+// LocalTable is one host's local remapping table: its view of the shared
+// page-indexed store, holding the entries whose owner tag is the host's.
+// Only pages partially migrated to this host have entries.
 type LocalTable struct {
-	root    []*localLeaf
-	count   int // live entries
+	s       *localStore
+	tag     uint16 // host+1
+	count   int    // live entries
+	lines   int    // migrated lines across entries
 	nextPFN uint32
 }
 
-// NewLocalTable covers pages CXL-DSM pages.
-func NewLocalTable(pages int64) *LocalTable {
-	roots := (pages + leafEntries - 1) / leafEntries
-	return &LocalTable{root: make([]*localLeaf, roots)}
+// NewLocalTables returns the local tables of hosts hosts over one shared
+// store covering pages CXL-DSM pages; table h is host h's.
+func NewLocalTables(pages int64, hosts int) []LocalTable {
+	s := &localStore{owner: make([]uint16, pages)}
+	ts := make([]LocalTable, hosts)
+	for h := range ts {
+		ts[h] = LocalTable{s: s, tag: uint16(h + 1)}
+	}
+	return ts
 }
 
-// Lookup returns the entry for page and the number of memory accesses a
-// hardware walk performs (1 when the leaf exists — the 32 MB root is pinned
-// and hits in it are free per §4.4 — and 1 for a miss discovered at the
-// root, since absence still requires reading the root entry; we charge 1
-// either way and let depth express leaf reads).
+// Lookup returns the entry for page when this host holds it.
 func (t *LocalTable) Lookup(page int64) (*LocalEntry, bool) {
-	leaf := t.root[page/leafEntries]
-	if leaf == nil {
+	if t.s.owner[page] != t.tag {
 		return nil, false
 	}
-	idx := page % leafEntries
-	if !leaf.valid[idx] {
-		return nil, false
-	}
-	return &leaf.entries[idx], true
+	return &t.s.entries[page], true
 }
 
 // Insert creates an entry for page with a freshly allocated local PFN and
-// the given initial counter. Inserting an existing page panics: the policy
-// must never double-promote.
+// the given initial counter. Inserting a page any host already holds
+// panics: the policy must never double-promote.
 func (t *LocalTable) Insert(page int64, counter uint8) *LocalEntry {
-	li := page / leafEntries
-	leaf := t.root[li]
-	if leaf == nil {
-		leaf = &localLeaf{}
-		t.root[li] = leaf
-	}
-	idx := page % leafEntries
-	if leaf.valid[idx] {
-		panic(fmt.Sprintf("core: duplicate local remap insert for page %d", page))
+	s := t.s
+	if o := s.owner[page]; o != 0 {
+		panic(fmt.Sprintf("core: local remap insert of page %d at host %d, already held by host %d", page, t.tag-1, o-1))
 	}
 	if t.nextPFN == math.MaxUint32 {
 		panic("core: local PFN space exhausted")
 	}
-	pfn := t.nextPFN
+	if s.entries == nil {
+		s.entries = make([]LocalEntry, len(s.owner))
+	}
+	s.owner[page] = t.tag
+	s.entries[page] = LocalEntry{PFN: t.nextPFN, Counter: counter}
 	t.nextPFN++
-	leaf.valid[idx] = true
-	leaf.entries[idx] = LocalEntry{PFN: pfn, Counter: counter}
 	t.count++
-	return &leaf.entries[idx]
+	return &s.entries[page]
 }
 
 // Remove drops page's entry, returning the entry it held.
 func (t *LocalTable) Remove(page int64) (LocalEntry, bool) {
-	leaf := t.root[page/leafEntries]
-	if leaf == nil {
+	e, ok := t.Lookup(page)
+	if !ok {
 		return LocalEntry{}, false
 	}
-	idx := page % leafEntries
-	if !leaf.valid[idx] {
-		return LocalEntry{}, false
-	}
-	e := leaf.entries[idx]
-	leaf.valid[idx] = false
-	leaf.entries[idx] = LocalEntry{}
+	old := *e
+	*e = LocalEntry{}
+	t.s.owner[page] = 0
 	t.count--
-	return e, true
+	t.lines -= popcount(old.Bitmap)
+	return old, true
+}
+
+// MigrateLine sets the migrated bit of line l (0..63) of page. It reports
+// whether the bit was newly set; a page without an entry here sets nothing.
+func (t *LocalTable) MigrateLine(page int64, l int) bool {
+	e, ok := t.Lookup(page)
+	bit := uint64(1) << uint(l)
+	if !ok || e.Bitmap&bit != 0 {
+		return false
+	}
+	e.Bitmap |= bit
+	t.lines++
+	return true
+}
+
+// DemoteLine clears the migrated bit of line l of page, reporting whether
+// it was set.
+func (t *LocalTable) DemoteLine(page int64, l int) bool {
+	e, ok := t.Lookup(page)
+	bit := uint64(1) << uint(l)
+	if !ok || e.Bitmap&bit == 0 {
+		return false
+	}
+	e.Bitmap &^= bit
+	t.lines--
+	return true
 }
 
 // Count returns the number of live entries (pages partially migrated here).
 func (t *LocalTable) Count() int { return t.count }
+
+// MigratedLines returns the total number of migrated lines across entries.
+func (t *LocalTable) MigratedLines() int { return t.lines }
 
 // SizeBytes returns the current in-memory footprint: the fixed root plus
 // 4 B per entry, matching §4.4's 32MB + 4B/4KB × RSS formula (we charge the
 // root proportionally to its configured coverage rather than a fixed 32 MB,
 // since simulated pools are scaled down).
 func (t *LocalTable) SizeBytes() int64 {
-	return int64(len(t.root))*8 + 4*int64(t.count)
-}
-
-// ForEach invokes fn for every live entry in ascending page order, passing a
-// value copy (observation-only, for the invariant auditor).
-func (t *LocalTable) ForEach(fn func(page int64, e LocalEntry)) {
-	for li, leaf := range t.root {
-		if leaf == nil {
-			continue
-		}
-		base := int64(li) * leafEntries
-		for i := range leaf.entries {
-			if leaf.valid[i] {
-				fn(base+int64(i), leaf.entries[i])
-			}
-		}
-	}
-}
-
-// MigratedLines returns the total number of migrated lines across entries.
-func (t *LocalTable) MigratedLines() int {
-	n := 0
-	for _, leaf := range t.root {
-		if leaf == nil {
-			continue
-		}
-		for i := range leaf.entries {
-			if leaf.valid[i] {
-				n += popcount(leaf.entries[i].Bitmap)
-			}
-		}
-	}
-	return n
+	roots := (int64(len(t.s.owner)) + leafEntries - 1) / leafEntries
+	return roots*8 + 4*int64(t.count)
 }
 
 func popcount(x uint64) int {

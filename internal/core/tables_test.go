@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -85,7 +86,7 @@ func TestGlobalTableShardingProperty(t *testing.T) {
 }
 
 func TestLocalTableInsertLookupRemove(t *testing.T) {
-	lt := NewLocalTable(10000)
+	lt := &NewLocalTables(10000, 1)[0]
 	if _, ok := lt.Lookup(5); ok {
 		t.Fatal("hit in empty table")
 	}
@@ -123,18 +124,28 @@ func TestLocalTableInsertLookupRemove(t *testing.T) {
 }
 
 func TestLocalTableDuplicateInsertPanics(t *testing.T) {
-	lt := NewLocalTable(100)
-	lt.Insert(1, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Insert did not panic")
-		}
-	}()
-	lt.Insert(1, 8)
+	// The hosts share one store, so a page held anywhere cannot be inserted
+	// again, at its holder or at any other host.
+	lts := NewLocalTables(100, 3)
+	lts[2].Insert(1, 8)
+	for _, h := range []int{2, 0} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "already held by host 2") {
+					t.Fatalf("Insert at host %d of a page host 2 holds: panic %q", h, msg)
+				}
+			}()
+			lts[h].Insert(1, 8)
+		}()
+	}
+	if _, ok := lts[0].Lookup(1); ok || lts[0].Count() != 0 {
+		t.Fatal("host 0 sees host 2's entry")
+	}
 }
 
 func TestLocalTableRadixSpansLeaves(t *testing.T) {
-	lt := NewLocalTable(5 * leafEntries)
+	lt := &NewLocalTables(5*leafEntries, 1)[0]
 	// Insert one page per leaf plus boundary pages.
 	pages := []int64{0, leafEntries - 1, leafEntries, 2*leafEntries + 7, 5*leafEntries - 1}
 	for _, p := range pages {
@@ -151,18 +162,35 @@ func TestLocalTableRadixSpansLeaves(t *testing.T) {
 }
 
 func TestLocalTableBitmapAndMigratedLines(t *testing.T) {
-	lt := NewLocalTable(100)
-	e := lt.Insert(3, 8)
-	e.Bitmap = 0b1011
-	e2 := lt.Insert(7, 8)
-	e2.Bitmap = 1 << 63
+	lt := &NewLocalTables(100, 1)[0]
+	lt.Insert(3, 8)
+	lt.Insert(7, 8)
+	for _, l := range []int{0, 1, 3, 3} {
+		lt.MigrateLine(3, l)
+	}
+	if !lt.MigrateLine(7, 63) || lt.MigrateLine(7, 63) || lt.MigrateLine(9, 0) {
+		t.Fatal("MigrateLine reported a wrong change")
+	}
+	if e, _ := lt.Lookup(3); e.Bitmap != 0b1011 {
+		t.Fatalf("bitmap = %b, want 1011", e.Bitmap)
+	}
 	if got := lt.MigratedLines(); got != 4 {
 		t.Fatalf("MigratedLines = %d, want 4", got)
+	}
+	if !lt.DemoteLine(3, 1) || lt.DemoteLine(3, 1) || lt.DemoteLine(9, 0) {
+		t.Fatal("DemoteLine reported a wrong change")
+	}
+	if got := lt.MigratedLines(); got != 3 {
+		t.Fatalf("MigratedLines = %d after demote, want 3", got)
+	}
+	lt.Remove(3) // takes lines 0 and 3 with it
+	if got := lt.MigratedLines(); got != 1 {
+		t.Fatalf("MigratedLines = %d after remove, want 1", got)
 	}
 }
 
 func TestLocalTableSizeBytes(t *testing.T) {
-	lt := NewLocalTable(2048)
+	lt := &NewLocalTables(2048, 1)[0]
 	base := lt.SizeBytes()
 	if base != 2*8 { // 2 root entries × 8B
 		t.Fatalf("empty SizeBytes = %d", base)
@@ -185,7 +213,7 @@ func TestPopcount(t *testing.T) {
 // Property: insert/remove round-trips preserve count and membership.
 func TestLocalTableLedgerProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		lt := NewLocalTable(4096)
+		lt := &NewLocalTables(4096, 1)[0]
 		live := map[int64]bool{}
 		for _, op := range ops {
 			p := int64(op) % 4096

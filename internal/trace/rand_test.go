@@ -317,6 +317,29 @@ func TestRedrawBoundary(t *testing.T) {
 	}
 }
 
+// TestGeometricEveryOffset starts Geometric draws at every position of
+// the lag register, so each run boundary (the tap or the feed index
+// wrapping, and the trial cap at mean 1e5) falls at every point of a draw.
+func TestGeometricEveryOffset(t *testing.T) {
+	for _, mean := range []float64{0, 0.5, 16, 32, 1e5, math.NaN()} {
+		g := NewGeometric(mean)
+		for off := 0; off < rngLen; off++ {
+			s := NewSource(5)
+			ref := rand.New(rand.NewSource(5))
+			for i := 0; i < off; i++ {
+				s.Int63()
+				ref.Int63()
+			}
+			for i := 0; i < 3; i++ {
+				if got, want := g.Draw(s), refGeometric(ref, mean); got != want {
+					t.Fatalf("offset %d draw %d: Geometric(%v) = %d, want %d", off, i, mean, got, want)
+				}
+			}
+			checkTail(t, s, ref)
+		}
+	}
+}
+
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	f.Add(int64(1), 16.0, 0.15, int64(64))
 	f.Add(int64(0), 32.0, 0.85, int64(100))

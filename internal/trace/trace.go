@@ -8,9 +8,10 @@ package trace
 import "pipm/internal/config"
 
 // Record is one memory operation preceded by Gap non-memory instructions.
+// The fields are ordered widest first so a record packs into 16 bytes.
 type Record struct {
-	Gap   uint32      // non-memory instructions retired before this op
 	Addr  config.Addr // unified physical address of the access
+	Gap   uint32      // non-memory instructions retired before this op
 	Write bool        // store (true) or load (false)
 	// Dep marks an address-dependent operation (pointer chase): it cannot
 	// issue until the previous memory op completes. Dependence is what

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pipm/internal/config"
 )
@@ -23,6 +24,14 @@ func mkRecords(n int, seed int64) []Record {
 		}
 	}
 	return recs
+}
+
+// TestRecordSize pins the record at 16 bytes: every trace.Batch buffer and
+// in-memory trace holds records by value, so a padding hole costs memory.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want 16", got)
+	}
 }
 
 func TestSliceReader(t *testing.T) {
