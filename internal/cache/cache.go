@@ -4,7 +4,7 @@
 // coherence layer owns state meaning; the cache is just the indexed store.
 // Eviction results are returned to the caller — that return value is the
 // hook PIPM's incremental migration rides on. Recency, the one-word-per-set
-// LRU order, also orders the device directory, remap caches and TLBs.
+// LRU order, also orders the device directory and remap caches.
 package cache
 
 import (

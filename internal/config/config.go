@@ -139,13 +139,6 @@ type Config struct {
 	L1D CacheConfig
 	LLC CacheConfig // per host, shared; SizeBytes is the per-core slice
 
-	// TLBEntries enables a per-core TLB of this many 4 KB entries
-	// (0 disables translation modelling, the scaled default). Misses pay
-	// TLBWalkLatency; kernel page migration invalidates entries.
-	TLBEntries     int
-	TLBWays        int
-	TLBWalkLatency sim.Time
-
 	LocalDRAM DRAMConfig // per host
 	CXLDRAM   DRAMConfig // at the memory node
 	CXL       CXLConfig
@@ -171,11 +164,8 @@ func Default() Config {
 		StoreQ:       56,
 		MSHRs:        8,
 
-		L1D:            CacheConfig{SizeBytes: 32 << 10, Ways: 8, Latency: sim.Nanosecond},     // 4 cyc @ 4GHz
-		LLC:            CacheConfig{SizeBytes: 2 << 20, Ways: 16, Latency: 6 * sim.Nanosecond}, // 24 cyc @ 4GHz
-		TLBEntries:     0,                                                                      // translation modelling off by default
-		TLBWays:        4,
-		TLBWalkLatency: 60 * sim.Nanosecond,
+		L1D: CacheConfig{SizeBytes: 32 << 10, Ways: 8, Latency: sim.Nanosecond},     // 4 cyc @ 4GHz
+		LLC: CacheConfig{SizeBytes: 2 << 20, Ways: 16, Latency: 6 * sim.Nanosecond}, // 24 cyc @ 4GHz
 		LocalDRAM: DRAMConfig{Channels: 1, BanksPerChan: 32, CapacityBytes: 32 << 30, //nolint
 			TRC: 48 * sim.Nanosecond, TRCD: 15 * sim.Nanosecond, TCL: 20 * sim.Nanosecond,
 			TRP: 15 * sim.Nanosecond, ChannelBW: 38.4e9},
@@ -265,7 +255,7 @@ func (c *Config) Validate() error {
 		name string
 		ways int
 	}{
-		{"L1D.Ways", c.L1D.Ways}, {"LLC.Ways", c.LLC.Ways}, {"CXL.DirWays", c.CXL.DirWays}, {"TLBWays", c.TLBWays},
+		{"L1D.Ways", c.L1D.Ways}, {"LLC.Ways", c.LLC.Ways}, {"CXL.DirWays", c.CXL.DirWays},
 		{"PIPM.GlobalRemapCacheWays", c.PIPM.GlobalRemapCacheWays}, {"PIPM.LocalRemapCacheWays", c.PIPM.LocalRemapCacheWays},
 	} {
 		if w.ways > MaxWays {

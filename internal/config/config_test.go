@@ -87,7 +87,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"L1D.Ways", func(c *Config) { c.L1D.Ways = MaxWays * 2; c.L1D.SizeBytes *= 2 }},
 		{"LLC.Ways", func(c *Config) { c.LLC.Ways = MaxWays * 2 }},
 		{"CXL.DirWays", func(c *Config) { c.CXL.DirWays = MaxWays + 1 }},
-		{"TLBWays", func(c *Config) { c.TLBWays = MaxWays + 1 }},
 		{"PIPM.GlobalRemapCacheWays", func(c *Config) { c.PIPM.GlobalRemapCacheWays = MaxWays + 1 }},
 		{"PIPM.LocalRemapCacheWays", func(c *Config) { c.PIPM.LocalRemapCacheWays = MaxWays + 1 }},
 	}
@@ -100,7 +99,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}
 	// Exactly MaxWays everywhere is legal.
 	c := Default()
-	c.L1D.Ways, c.LLC.Ways, c.CXL.DirWays, c.TLBWays = MaxWays, MaxWays, MaxWays, MaxWays
+	c.L1D.Ways, c.LLC.Ways, c.CXL.DirWays = MaxWays, MaxWays, MaxWays
 	c.PIPM.GlobalRemapCacheWays, c.PIPM.LocalRemapCacheWays = MaxWays, MaxWays
 	if err := c.Validate(); err != nil {
 		t.Errorf("%d ways everywhere: Validate rejected a legal config: %v", MaxWays, err)

@@ -246,14 +246,16 @@ func (m *Manager) GlobalEntryAt(page int64) GlobalEntry {
 	return *m.global.Entry(page)
 }
 
-// PeekLocal returns a value copy of host h's local entry for page without
-// touching the local remapping cache (observation-only).
-func (m *Manager) PeekLocal(h int, page int64) (LocalEntry, bool) {
-	e, ok := m.local[h].Lookup(page)
-	if !ok {
-		return LocalEntry{}, false
+// LocalHolder returns the host whose local table holds page and a value
+// copy of its entry, without touching any remapping cache
+// (observation-only). The shared store gives a page at most one holder.
+func (m *Manager) LocalHolder(page int64) (h int, e LocalEntry, ok bool) {
+	s := m.local[0].s
+	o := s.owner[page]
+	if o == 0 {
+		return NoHost, LocalEntry{}, false
 	}
-	return *e, true
+	return int(o) - 1, s.entries[page], true
 }
 
 // GlobalCache and LocalCache expose the remap caches for stats/latency.

@@ -12,6 +12,7 @@ import (
 	"pipm/internal/audit"
 	"pipm/internal/config"
 	"pipm/internal/migration"
+	"pipm/internal/sim"
 	"pipm/internal/telemetry"
 	"pipm/internal/workload"
 )
@@ -47,7 +48,7 @@ func keyOf(cfg config.Config, wl workload.Params, k migration.Kind, records, see
 	topt telemetry.Options, aopt audit.Options) RunKey {
 	h := sha256.New()
 	enc := canonEncoder{h: h}
-	enc.value("cfg", reflect.ValueOf(cfg))
+	encodeConfig(enc, cfg)
 	encodeWorkload(enc, wl)
 	enc.int64("scheme", int64(k))
 	enc.int64("records", records)
@@ -61,6 +62,40 @@ func keyOf(cfg config.Config, wl workload.Params, k migration.Kind, records, see
 	var key RunKey
 	h.Sum(key[:0])
 	return key
+}
+
+// retiredConfigFields are Config fields that no longer exist, with the
+// only values any run ever gave them: the per-core TLB model, which was off
+// by default and which no option switched on. encodeConfig hashes them at
+// their old place, right after LLC, so every key computed while they
+// existed — memo, result store, golden fixtures — stays valid.
+var retiredConfigFields = [...]struct {
+	name  string
+	value int64
+}{
+	{"TLBEntries", 0},
+	{"TLBWays", 4},
+	{"TLBWalkLatency", int64(60 * sim.Nanosecond)},
+}
+
+// encodeConfig hashes the config like enc.value("cfg", ...) would, with
+// retiredConfigFields spliced in after LLC.
+func encodeConfig(enc canonEncoder, cfg config.Config) {
+	enc.bytes([]byte("cfg"))
+	v := reflect.ValueOf(cfg)
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.PkgPath != "" {
+			continue // unexported: not part of the run identity
+		}
+		enc.value(f.Name, v.Field(i))
+		if f.Name == "LLC" {
+			for _, r := range retiredConfigFields {
+				enc.int64(r.name, r.value)
+			}
+		}
+	}
 }
 
 // encodeWorkload hashes the workload like enc.value("workload", ...) would,

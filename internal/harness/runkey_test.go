@@ -217,7 +217,7 @@ func TestRunKeyLegacyEncodingStable(t *testing.T) {
 		}
 		legacy := sha256.New()
 		enc := canonEncoder{h: legacy}
-		enc.value("cfg", reflect.ValueOf(o.Cfg))
+		encodeConfig(enc, o.Cfg)
 		enc.value("workload", reflect.ValueOf(mirror))
 		enc.int64("scheme", int64(migration.PIPM))
 		enc.int64("records", int64(1000))

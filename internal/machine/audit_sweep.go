@@ -212,11 +212,7 @@ func (m *Machine) auditHardwareTables(now sim.Time, full bool) {
 			GlobalCnt: ge.Counter,
 			Hosts:     hosts,
 		}
-		for h := 0; h < hosts; h++ {
-			le, ok := m.mgr.PeekLocal(h, page)
-			if !ok {
-				continue
-			}
+		if h, le, ok := m.mgr.LocalHolder(page); ok {
 			if h == cur {
 				pf.HasLocal = true
 				pf.LocalCnt = le.Counter

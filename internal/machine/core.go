@@ -4,7 +4,6 @@ import (
 	"pipm/internal/cache"
 	"pipm/internal/sim"
 	"pipm/internal/stats"
-	"pipm/internal/tlb"
 	"pipm/internal/trace"
 )
 
@@ -19,7 +18,6 @@ type coreState struct {
 	id   int
 	rd   trace.Reader
 	l1   *cache.Cache
-	tlb  *tlb.TLB // nil unless Config.TLBEntries > 0
 
 	// step is the core's engine closure, bound once at Run so the
 	// per-quantum re-schedule never allocates.

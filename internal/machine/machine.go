@@ -173,7 +173,6 @@ func New(cfg config.Config, scheme migration.Kind) (*Machine, error) {
 				host:   hs,
 				id:     c,
 				l1:     cache.New(cfg.L1D),
-				tlb:    tlb.NewTLB(cfg.TLBEntries, cfg.TLBWays),
 				window: make([]pending, cfg.MSHRs),
 			})
 		}

@@ -148,16 +148,14 @@ func (m *Machine) applyKernelOp(now sim.Time, op migration.Op) {
 		m.vals.kernelMove(op.Page, from, op.To)
 	}
 
-	// All hosts drop cached lines and TLB translations of the page: its
-	// unified PA changes. Dirty data is folded into the page copy below.
+	// All hosts drop cached lines of the page: its unified PA changes
+	// (kernelTick prices the shootdown of its translations). Dirty data is
+	// folded into the page copy below.
 	firstLine := base.Line()
 	for _, hs := range m.hosts {
 		hs.llc.InvalidatePage(base.Page(), nil)
 		for _, c := range hs.cores {
 			c.l1.InvalidatePage(base.Page(), nil)
-			if c.tlb != nil {
-				c.tlb.Invalidate(base.Page())
-			}
 		}
 	}
 	for l := config.Addr(0); l < config.LinesPerPage; l++ {

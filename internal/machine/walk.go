@@ -39,12 +39,6 @@ func (m *Machine) bindNativeRoutes() {
 // State updates (fills, evictions, directory transitions, policy counters)
 // are applied at issue time; completion only affects timing.
 func (m *Machine) access(t sim.Time, c *coreState, rec trace.Record) (sim.Time, stats.Class) {
-	// Address translation (when modelled): a TLB miss pays the page-walk
-	// latency before anything else can start.
-	if c.tlb != nil && !c.tlb.Lookup(rec.Addr) {
-		t += m.cfg.TLBWalkLatency
-	}
-
 	region, _ := m.amap.Region(rec.Addr)
 	if region != config.RegionShared {
 		return m.privateAccess(t, c, rec)

@@ -303,25 +303,3 @@ func TestBandwidthSweepMonotone(t *testing.T) {
 		t.Fatal("lower bandwidth produced a faster run")
 	}
 }
-
-func TestTLBModellingAddsLatency(t *testing.T) {
-	exec := func(entries int) sim.Time {
-		cfg := testCfg()
-		cfg.TLBEntries = entries
-		m := build(t, cfg, migration.Native)
-		attachPartitioned(m, 15000)
-		run(t, m)
-		return m.ExecTime()
-	}
-	off := exec(0)
-	// A tiny TLB on a 16-page working set misses constantly.
-	tiny := exec(4)
-	if tiny <= off {
-		t.Fatalf("TLB walks added no time: %v vs %v", tiny, off)
-	}
-	// A TLB covering the whole footprint costs almost nothing.
-	big := exec(4096)
-	if big > off+off/10 {
-		t.Fatalf("covering TLB cost too much: %v vs %v", big, off)
-	}
-}
