@@ -128,12 +128,11 @@ type Config struct {
 	Hosts        int
 	CoresPerHost int
 
-	// Core model (Table 2: 4 GHz, 6-wide, 224 ROB, 72 LQ, 56 SQ).
+	// Core model (Table 2: 4 GHz, 6-wide). Table 2's 224-entry ROB and
+	// 72/56-entry load/store queues are not modelled: the MSHR window
+	// bounds memory-level parallelism.
 	CoreHz int64
 	Width  int
-	ROB    int
-	LoadQ  int
-	StoreQ int
 	MSHRs  int // outstanding L1 misses per core
 
 	L1D CacheConfig
@@ -159,9 +158,6 @@ func Default() Config {
 		CoresPerHost: 4,
 		CoreHz:       4_000_000_000,
 		Width:        6,
-		ROB:          224,
-		LoadQ:        72,
-		StoreQ:       56,
 		MSHRs:        8,
 
 		L1D: CacheConfig{SizeBytes: 32 << 10, Ways: 8, Latency: sim.Nanosecond},     // 4 cyc @ 4GHz
@@ -211,8 +207,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: CoreHz = %d, want > 0", c.CoreHz)
 	case c.Width < 1:
 		return fmt.Errorf("config: Width = %d, want ≥ 1", c.Width)
-	case c.ROB < 1 || c.MSHRs < 1:
-		return fmt.Errorf("config: ROB/MSHRs must be ≥ 1")
+	case c.MSHRs < 1:
+		return fmt.Errorf("config: MSHRs = %d, want ≥ 1", c.MSHRs)
 	case c.SharedBytes < PageBytes:
 		return fmt.Errorf("config: SharedBytes = %d, want ≥ one page", c.SharedBytes)
 	case c.SharedBytes%PageBytes != 0:

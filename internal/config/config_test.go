@@ -22,8 +22,8 @@ func TestDefaultMatchesTable2(t *testing.T) {
 	if c.Hosts != 4 || c.CoresPerHost != 4 {
 		t.Errorf("hosts×cores = %d×%d, want 4×4", c.Hosts, c.CoresPerHost)
 	}
-	if c.Width != 6 || c.ROB != 224 || c.LoadQ != 72 || c.StoreQ != 56 {
-		t.Errorf("core = %d-wide/%d ROB/%d LQ/%d SQ", c.Width, c.ROB, c.LoadQ, c.StoreQ)
+	if c.Width != 6 || c.MSHRs != 8 {
+		t.Errorf("core = %d-wide/%d MSHRs", c.Width, c.MSHRs)
 	}
 	if c.L1D.SizeBytes != 32<<10 || c.L1D.Ways != 8 {
 		t.Errorf("L1D = %dB %d-way", c.L1D.SizeBytes, c.L1D.Ways)
@@ -57,7 +57,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"too many hosts", func(c *Config) { c.Hosts = MaxHosts + 1 }},
 		{"zero cores", func(c *Config) { c.CoresPerHost = 0 }},
 		{"zero width", func(c *Config) { c.Width = 0 }},
-		{"zero rob", func(c *Config) { c.ROB = 0 }},
+		{"zero mshrs", func(c *Config) { c.MSHRs = 0 }},
 		{"tiny shared", func(c *Config) { c.SharedBytes = 100 }},
 		{"fewer shared pages than hosts", func(c *Config) { c.Hosts = 4; c.SharedBytes = 2 * PageBytes }},
 		{"partial last page", func(c *Config) { c.SharedBytes = 64*PageBytes + 1 }},

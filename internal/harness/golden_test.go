@@ -101,9 +101,9 @@ type goldenTier struct {
 var goldenTiers = func() []goldenTier {
 	o := QuickOptions()
 	return []goldenTier{
-		// quick: every scheme × quick workload. A refactor of the walk, the
-		// route modules or the scheme hooks that changes any stat, latency
-		// or event ordering fails here before it can shift a figure.
+		// quick: every scheme × quick workload. A refactor of the walk or
+		// the route modules that changes any stat, latency or event
+		// ordering fails here before it can shift a figure.
 		//
 		// Golden digests are one of three independent guards over the
 		// memory path; the other two are the runtime invariant auditor

@@ -65,21 +65,27 @@ func keyOf(cfg config.Config, wl workload.Params, k migration.Kind, records, see
 }
 
 // retiredConfigFields are Config fields that no longer exist, with the
-// only values any run ever gave them: the per-core TLB model, which was off
-// by default and which no option switched on. encodeConfig hashes them at
-// their old place, right after LLC, so every key computed while they
-// existed — memo, result store, golden fixtures — stays valid.
+// only values any run ever gave them: Table 2's ROB and load/store queue
+// sizes, which the core model never read, and the per-core TLB model, which
+// was off by default and which no option switched on. encodeConfig hashes
+// each at its old place, right after the field named by after, so every key
+// computed while they existed — memo, result store, golden fixtures — stays
+// valid.
 var retiredConfigFields = [...]struct {
+	after string
 	name  string
 	value int64
 }{
-	{"TLBEntries", 0},
-	{"TLBWays", 4},
-	{"TLBWalkLatency", int64(60 * sim.Nanosecond)},
+	{"Width", "ROB", 224},
+	{"Width", "LoadQ", 72},
+	{"Width", "StoreQ", 56},
+	{"LLC", "TLBEntries", 0},
+	{"LLC", "TLBWays", 4},
+	{"LLC", "TLBWalkLatency", int64(60 * sim.Nanosecond)},
 }
 
 // encodeConfig hashes the config like enc.value("cfg", ...) would, with
-// retiredConfigFields spliced in after LLC.
+// retiredConfigFields spliced in at their old places.
 func encodeConfig(enc canonEncoder, cfg config.Config) {
 	enc.bytes([]byte("cfg"))
 	v := reflect.ValueOf(cfg)
@@ -90,8 +96,8 @@ func encodeConfig(enc canonEncoder, cfg config.Config) {
 			continue // unexported: not part of the run identity
 		}
 		enc.value(f.Name, v.Field(i))
-		if f.Name == "LLC" {
-			for _, r := range retiredConfigFields {
+		for _, r := range retiredConfigFields {
+			if r.after == f.Name {
 				enc.int64(r.name, r.value)
 			}
 		}

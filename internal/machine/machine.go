@@ -53,13 +53,10 @@ type Machine struct {
 
 	// Scheme-family routing, resolved once at build time (DESIGN.md §11):
 	// the invariant walk dispatches through these three functions, which the
-	// active family's route module binds; the hooks carry the per-access
-	// placement decisions. No per-access registry lookups or interface
-	// dispatch happen where a direct call suffices.
+	// active family's route module binds and which make the per-access
+	// placement decisions on the family's state above. No per-access
+	// registry lookups happen.
 	family      migration.Family
-	hooks       migration.SchemeHooks
-	kHooks      *migration.KernelHooks   // non-nil iff family == FamilyKernel
-	hwHooks     *migration.HardwareHooks // non-nil iff family == FamilyHardware
 	routeShared func(sim.Time, *coreState, trace.Record, int64) (sim.Time, stats.Class)
 	missShared  func(sim.Time, *coreState, trace.Record, int64) (sim.Time, stats.Class)
 	evictShared func(h *host, now sim.Time, page int64, addr, line config.Addr, vState cache.State)
@@ -179,7 +176,7 @@ func New(cfg config.Config, scheme migration.Kind) (*Machine, error) {
 		m.hosts = append(m.hosts, hs)
 	}
 
-	// Build the family's state, its SchemeHooks, and bind the route module
+	// Build the family's state and bind its route module
 	// (DESIGN.md §11). The registry descriptor carries everything
 	// scheme-specific; nothing below names an individual scheme.
 	pages := cfg.SharedPages()
@@ -196,8 +193,6 @@ func New(cfg config.Config, scheme migration.Kind) (*Machine, error) {
 			Hosts:     cfg.Hosts,
 			Threshold: cfg.PIPM.MigrationThreshold,
 		})
-		m.kHooks = migration.NewKernelHooks(m.policy, m.pt, m.ledger)
-		m.hooks = m.kHooks
 		m.bindKernelRoutes()
 	case migration.FamilyHardware:
 		m.mgr = pipmcore.NewManager(pipmcore.Params{
@@ -210,14 +205,10 @@ func New(cfg config.Config, scheme migration.Kind) (*Machine, error) {
 			LocalCacheWays:     cfg.PIPM.LocalRemapCacheWays,
 			Static:             ent.StaticMap,
 		})
-		m.hwHooks = migration.NewHardwareHooks(m.mgr, cfg.PIPM.MigrateOnExclusiveEviction)
-		m.hooks = m.hwHooks
 		m.bindHardwareRoutes()
 	case migration.FamilyLocalOnly:
-		m.hooks = migration.NopHooks{}
 		m.bindLocalOnlyRoutes()
 	default:
-		m.hooks = migration.NopHooks{}
 		m.bindNativeRoutes()
 	}
 	m.kernelTickFn = m.kernelTick
@@ -225,12 +216,6 @@ func New(cfg config.Config, scheme migration.Kind) (*Machine, error) {
 	m.telemetryTickFn = m.telemetryTick
 	return m, nil
 }
-
-// Family returns the scheme family the machine was built for.
-func (m *Machine) Family() migration.Family { return m.family }
-
-// SchemeHooks returns the active family's hook implementation.
-func (m *Machine) SchemeHooks() migration.SchemeHooks { return m.hooks }
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() config.Config { return m.cfg }

@@ -5,7 +5,6 @@ import (
 	"pipm/internal/coherence"
 	"pipm/internal/config"
 	pipmcore "pipm/internal/core"
-	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/stats"
 	"pipm/internal/telemetry"
@@ -15,9 +14,8 @@ import (
 // Hardware-family route module (PIPM, HW-static): the I/I' resolution on
 // LLC misses, the device-side global remapping lookup and majority vote,
 // forwarded inter-host fetches with migrate-back, incremental migration on
-// eviction, and revocation pricing. Placement decisions go through
-// m.hwHooks (migration.HardwareHooks); device-side hardware operations use
-// m.mgr directly — they are this family's own state, not walk contract.
+// eviction, and revocation pricing. Every decision reads and updates the
+// family's own state, the remapping manager m.mgr.
 
 func (m *Machine) bindHardwareRoutes() {
 	m.routeShared = m.cacheableSharedAt // hardware diverges only at the LLC miss
@@ -26,52 +24,63 @@ func (m *Machine) bindHardwareRoutes() {
 	m.auditShared = true
 }
 
-// missHWShared routes a memory-visible shared access: one local remapping
-// lookup (§4.3: every shared LLC miss pays it), then either the local
-// migrated frame (I' → ME) or the device flow.
+// missHWShared routes a memory-visible shared access through §4.3's I vs I'
+// resolution: one local remapping lookup (every shared LLC miss pays it),
+// then either the local migrated frame (I' → ME) or the device flow.
 func (m *Machine) missHWShared(tL sim.Time, c *coreState, rec trace.Record, page int64) (sim.Time, stats.Class) {
 	h := c.host
-	d := m.hwHooks.OnFill(h.id, page, rec.Addr.LineInPage())
+	entry, cacheHit := m.mgr.LocalLookup(h.id, page)
+	local := false
+	if entry != nil {
+		m.mgr.OwnerAccess(h.id, page)
+		local = entry.Bitmap&(1<<uint(rec.Addr.LineInPage())) != 0
+	}
 	tR := tL + m.cfg.PIPM.LocalRemapLatency
-	if d.TableWalk {
+	if !cacheHit {
 		// Walk the in-memory two-level table: one leaf read from local
 		// DRAM (the pinned root is free, §4.4).
 		tR = h.dram.Access(tR, m.remapTableAddr(h.id, page), false)
 	}
-	if d.Kind == migration.FillLocalLine {
+	if local {
 		// I' → ME (case ③): served from local DRAM, no CXL traffic.
-		return m.localSharedFill(tR, c, rec, m.localMigratedAddr(h.id, d.PFN, rec.Addr), cache.MigratedExclusive)
+		return m.localSharedFill(tR, c, rec, m.localMigratedAddr(h.id, int64(entry.PFN), rec.Addr), cache.MigratedExclusive)
 	}
 	return m.pipmDeviceAccess(tR, c, rec, page)
 }
 
-// evictHWShared executes the hooks' eviction verdict: ME victims return to
-// their local frame, owned M/E victims are absorbed as incremental
-// migration (case ①), everything else is an ordinary CXL writeback.
+// evictHWShared picks a shared LLC victim's destination: ME victims return
+// to their local frame, owned M (and, with the E-extension, E) victims are
+// absorbed as incremental migration (case ①), everything else is an
+// ordinary CXL writeback.
 func (m *Machine) evictHWShared(h *host, now sim.Time, page int64, addr, line config.Addr, vState cache.State) {
 	lip := int(line) & (config.LinesPerPage - 1)
-	d := m.hwHooks.OnEvict(h.id, page, lip, evictStateOf(vState))
-	switch d.Kind {
-	case migration.EvictNone:
-		// ME victim whose remapping vanished underneath it: nowhere to go.
-		return
-	case migration.EvictLocalLine:
+	switch {
+	case vState == cache.MigratedExclusive:
 		// ME eviction (case ④): dirty data returns to local DRAM only.
+		entry, _ := m.mgr.LocalLookup(h.id, page)
+		if entry == nil {
+			// ME victim whose remapping vanished underneath it: nowhere to go.
+			return
+		}
 		if m.vals != nil {
 			m.vals.wbToLocal(h.id, line)
 		}
-		h.dram.Access(now, m.localMigratedAddr(h.id, d.PFN, addr), true)
+		h.dram.Access(now, m.localMigratedAddr(h.id, int64(entry.PFN), addr), true)
 		return
-	case migration.EvictAbsorb:
-		// Incremental migration: write the block to the local frame and
-		// flip the in-memory bits (done by the hooks) instead of writing
-		// back to CXL.
+	case m.mgr.Owner(page) == h.id &&
+		(vState == cache.Modified || (vState == cache.Exclusive && m.cfg.PIPM.MigrateOnExclusiveEviction)):
+		// Incremental migration: write the block to the owner's local frame
+		// and flip the in-memory bits instead of writing back to CXL.
+		entry, _ := m.mgr.LocalLookup(h.id, page)
+		if entry == nil || !m.mgr.MigrateLine(h.id, page, lip) {
+			break
+		}
 		if m.vals != nil {
 			m.vals.wbToLocal(h.id, line)
 		}
 		m.trc.Emit(now, 0, telemetry.EvLineMigrate, h.id, page, int64(lip))
 		m.noteAuditTransition()
-		h.dram.Access(now, m.localMigratedAddr(h.id, d.PFN, addr), true)
+		h.dram.Access(now, m.localMigratedAddr(h.id, int64(entry.PFN), addr), true)
 		// The CXL-side in-memory bit flips too, but it lives in ECC spare
 		// bits and piggybacks on subsequent accesses (§4.3.2 footnote) — a
 		// background header is the only traffic.
@@ -155,10 +164,9 @@ func (m *Machine) forwardedFetch(t sim.Time, c *coreState, rec trace.Record, pag
 		}
 	}
 
-	// Migrate back: clear the bit (OnWriteback), asynchronously write the
-	// block to CXL memory, and let the device directory track the
-	// requester's copy.
-	m.hwHooks.OnWriteback(g, page, rec.Addr.LineInPage())
+	// Migrate back: clear the bit, asynchronously write the block to CXL
+	// memory, and let the device directory track the requester's copy.
+	m.mgr.DemoteLine(g, page, rec.Addr.LineInPage())
 	m.trc.Emit(t, 0, telemetry.EvLineDemote, g, page, int64(rec.Addr.LineInPage()))
 	m.noteAuditTransition()
 	lat += m.fabric.HostToDevice(t, g, cxlDataBytes) - t

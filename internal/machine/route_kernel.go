@@ -13,8 +13,8 @@ import (
 // Kernel-family route module (Nomad, Memtis, HeMem, OS-skew): whole-page
 // migration at epoch boundaries, local serves for resident pages, and the
 // non-cacheable 4-hop GIM path to pages another host holds. Per-access
-// placement decisions go through m.kHooks (migration.KernelHooks); the
-// epoch tick below drives the policy the hooks observe into.
+// placement reads the whole-page table (m.pt) and feeds the epoch policy and
+// the harmful-migration ledger; the epoch tick below runs the policy.
 
 func (m *Machine) bindKernelRoutes() {
 	m.routeShared = m.routeKernelShared
@@ -28,20 +28,25 @@ func (m *Machine) bindKernelRoutes() {
 // pages migrated to another host bypass the caches entirely.
 func (m *Machine) routeKernelShared(t sim.Time, c *coreState, rec trace.Record, page int64) (sim.Time, stats.Class) {
 	h := c.host.id
-	m.kHooks.OnAccessObserved(h, page, rec.Write)
-	if d := m.kHooks.RouteShared(h, page, rec.Write); d.Kind == migration.RouteRemote {
+	m.policy.RecordAccess(h, page, rec.Write)
+	if owner := m.pt.Owner(page); owner != migration.ToCXL && owner != h {
 		// The page's unified PA points into another host's GIM window:
-		// non-cacheable 4-hop access (Fig. 3 ①–⑤).
-		return m.gimRemoteAccess(t, c, rec, d.Owner)
+		// non-cacheable 4-hop access (Fig. 3 ①–⑤). It is memory-visible by
+		// definition, so the ledger scores it before the traversal.
+		m.ledger.OnAccess(page, h)
+		return m.gimRemoteAccess(t, c, rec, owner)
 	}
 	return m.cacheableSharedAt(t, c, rec, page)
 }
 
 // missKernelShared serves a memory-visible access: local DRAM when the page
-// is resident here, the coherent CXL path otherwise.
+// is resident here, the coherent CXL path otherwise. The ledger scores
+// every such access (owner-side benefit is cache-filtered, so this is the
+// granularity it wants).
 func (m *Machine) missKernelShared(tL sim.Time, c *coreState, rec trace.Record, page int64) (sim.Time, stats.Class) {
-	d := m.kHooks.OnFill(c.host.id, page, rec.Addr.LineInPage())
-	if d.Kind == migration.FillLocalPage {
+	h := c.host.id
+	m.ledger.OnAccess(page, h)
+	if m.pt.Owner(page) == h {
 		fillSt := cache.Exclusive
 		if rec.Write {
 			fillSt = cache.Modified
@@ -54,8 +59,7 @@ func (m *Machine) missKernelShared(tL sim.Time, c *coreState, rec trace.Record, 
 // evictKernelShared writes victims of locally-resident pages to local DRAM;
 // everything else is an ordinary CXL writeback.
 func (m *Machine) evictKernelShared(h *host, now sim.Time, page int64, addr, line config.Addr, vState cache.State) {
-	d := m.kHooks.OnEvict(h.id, page, int(line)&(config.LinesPerPage-1), evictStateOf(vState))
-	if d.Kind == migration.EvictLocalPage {
+	if m.pt.Owner(page) == h.id {
 		m.evictLocalWB(h, now, addr, line, vState)
 		return
 	}

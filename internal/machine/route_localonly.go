@@ -12,8 +12,7 @@ import (
 // shared data is private by construction. Shared accesses take the private
 // L1 → LLC → local-DRAM path (reclassified as shared serves), evictions
 // write back locally, and no cross-host sharing semantics exist — so the
-// coherence audit is disabled and the hooks' contract points never fire
-// (the family binds the identity migration.NopHooks).
+// coherence audit is disabled and no placement decision is ever taken.
 
 func (m *Machine) bindLocalOnlyRoutes() {
 	m.routeShared = m.routeLocalOnlyShared

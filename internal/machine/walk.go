@@ -4,7 +4,6 @@ import (
 	"pipm/internal/cache"
 	"pipm/internal/coherence"
 	"pipm/internal/config"
-	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/stats"
 	"pipm/internal/trace"
@@ -15,8 +14,8 @@ import (
 // fill/eviction plumbing and the directory helpers. It never names a
 // scheme. Scheme behavior enters through three route functions — bound once
 // at build time to one of the per-family route modules (route_kernel.go,
-// route_hw.go, route_localonly.go, or the native defaults below) — which in
-// turn consult the family's migration.SchemeHooks:
+// route_hw.go, route_localonly.go, or the native defaults below), each of
+// which acts on its family's own state directly:
 //
 //	routeShared  classifies a shared access before any cache probe
 //	missShared   routes an LLC miss that became memory-visible
@@ -345,20 +344,6 @@ func (m *Machine) evictSharedCXL(h *host, now sim.Time, page int64, addr, line c
 		m.devDir.Remove(line)
 	} else {
 		m.devDir.RemoveSharer(line, h.id)
-	}
-}
-
-// evictStateOf maps a folded victim state to the hooks' abstraction.
-func evictStateOf(st cache.State) migration.EvictState {
-	switch st {
-	case cache.MigratedExclusive:
-		return migration.EvictMigrated
-	case cache.Modified:
-		return migration.EvictDirty
-	case cache.Exclusive:
-		return migration.EvictCleanExclusive
-	default:
-		return migration.EvictClean
 	}
 }
 

@@ -64,9 +64,6 @@ func (k Kind) FamilyOf() Family {
 // Kernel reports whether the scheme migrates whole pages via the kernel.
 func (k Kind) Kernel() bool { return k.FamilyOf() == FamilyKernel }
 
-// Hardware reports whether the scheme uses the PIPM coherence mechanism.
-func (k Kind) Hardware() bool { return k.FamilyOf() == FamilyHardware }
-
 // ToCXL is the Op destination meaning "demote back to CXL memory".
 const ToCXL = -1
 

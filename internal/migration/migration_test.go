@@ -23,18 +23,13 @@ func TestKindStringsAndParse(t *testing.T) {
 
 func TestKindPredicates(t *testing.T) {
 	for _, k := range []Kind{Nomad, Memtis, HeMem, OSSkew} {
-		if !k.Kernel() || k.Hardware() {
-			t.Errorf("%v should be kernel-only", k)
+		if !k.Kernel() {
+			t.Errorf("%v should be kernel", k)
 		}
 	}
-	for _, k := range []Kind{PIPM, HWStatic} {
-		if k.Kernel() || !k.Hardware() {
-			t.Errorf("%v should be hardware-only", k)
-		}
-	}
-	for _, k := range []Kind{Native, LocalOnly} {
-		if k.Kernel() || k.Hardware() {
-			t.Errorf("%v should be neither", k)
+	for _, k := range []Kind{PIPM, HWStatic, Native, LocalOnly} {
+		if k.Kernel() {
+			t.Errorf("%v should not be kernel", k)
 		}
 	}
 }

@@ -7,9 +7,10 @@ import (
 
 // Family classifies how a scheme plugs into the layered memory path
 // (DESIGN.md §11). The invariant hierarchy walk in internal/machine is
-// family-agnostic; each family contributes one SchemeHooks implementation
-// and one route module, and every scheme in a family differs only by the
-// descriptor fields below (policy constructor, static mapping, ...).
+// family-agnostic; each family contributes one route module there, which
+// acts on the family's state directly, and every scheme in a family differs
+// only by the descriptor fields below (policy constructor, static mapping,
+// ...).
 type Family uint8
 
 const (

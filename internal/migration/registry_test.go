@@ -56,9 +56,6 @@ func TestRegistryFamilies(t *testing.T) {
 		if s.Kind.Kernel() != (s.Family == FamilyKernel) {
 			t.Errorf("%v: Kernel() = %v inconsistent with family %v", s.Kind, s.Kind.Kernel(), s.Family)
 		}
-		if s.Kind.Hardware() != (s.Family == FamilyHardware) {
-			t.Errorf("%v: Hardware() = %v inconsistent with family %v", s.Kind, s.Kind.Hardware(), s.Family)
-		}
 		if (s.NewPolicy != nil) != (s.Family == FamilyKernel) {
 			t.Errorf("%v: NewPolicy presence inconsistent with family %v", s.Kind, s.Family)
 		}
