@@ -4,7 +4,9 @@
 // directory, the PIPM remapping tables, the kernel page table — at quantum
 // boundaries (and after every protocol transition in paranoid mode), distils
 // the walk into small fact records, and this package applies the protocol
-// rules derived from the paper:
+// rules derived from the paper. Paranoid mode also distils the one line each
+// shared access touched and applies the same per-line rules to it. The rules
+// are:
 //
 //   - conservation — each shared block has exactly one exclusive owner or a
 //     consistent sharer set across all host caches plus the device directory;
@@ -31,6 +33,7 @@ import (
 	"pipm/internal/cache"
 	"pipm/internal/coherence"
 	"pipm/internal/config"
+	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/telemetry"
 )
@@ -78,34 +81,23 @@ func ParseMode(s string) (Mode, error) {
 // Options configures an auditor.
 type Options struct {
 	Mode Mode
-	// Interval is the number of quanta between periodic sweeps (default 1:
-	// every quantum).
+	// Interval is the number of quanta between periodic sweeps (values
+	// below 1 mean every quantum).
 	Interval int
-	// MaxViolations bounds how many violations are collected before the
-	// auditor stops recording (default 16). The run fails on the first one
-	// either way; the bound keeps reports readable.
-	MaxViolations int
-	// TrailDepth is how many telemetry protocol events each violation
-	// captures from the ring (default 8).
-	TrailDepth int
 }
 
 // Enabled reports whether the options turn auditing on.
 func (o Options) Enabled() bool { return o.Mode != Off }
 
-// WithDefaults fills zero fields with their defaults.
-func (o Options) WithDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = 1
-	}
-	if o.MaxViolations <= 0 {
-		o.MaxViolations = 16
-	}
-	if o.TrailDepth <= 0 {
-		o.TrailDepth = 8
-	}
-	return o
-}
+const (
+	// maxViolations bounds how many violations are collected before the
+	// auditor stops recording. The run fails on the first one either way;
+	// the bound keeps reports readable.
+	maxViolations = 16
+	// trailDepth is how many telemetry protocol events each violation
+	// captures from the ring.
+	trailDepth = 8
+)
 
 // Invariant identifiers, stable across releases: they name rows of the
 // DESIGN.md §12 catalogue and prefix every violation message.
@@ -117,17 +109,6 @@ const (
 	InvMigrated     = "migrated-state"  // ME/I' legality + in-memory bit agreement
 	InvRemapAgree   = "remap-agreement" // global/local table + remap-cache agreement
 	InvAccounting   = "accounting"      // footprint gauges equal walked occupancy
-)
-
-// Family mirrors the machine's scheme families for family-conditional rules
-// without importing the migration registry.
-type Family uint8
-
-const (
-	FamilyNative Family = iota
-	FamilyKernel
-	FamilyHardware
-	FamilyLocalOnly
 )
 
 // Violation is one invariant failure, with the simulated time it was
@@ -154,7 +135,7 @@ type Report struct {
 	Sweeps     uint64 // whole-state sweeps performed
 	Checks     uint64 // individual fact checks applied
 	Violations []Violation
-	Truncated  bool // MaxViolations reached; later violations were dropped
+	Truncated  bool // the violation cap was reached; later violations were dropped
 }
 
 // Err returns nil for a clean report, or an error naming the first
@@ -190,12 +171,15 @@ type Auditor struct {
 	truncated  bool
 }
 
-// New builds an auditor; nil options fields take defaults.
+// New builds an auditor.
 func New(o Options) *Auditor {
-	return &Auditor{opt: o.WithDefaults()}
+	if o.Interval < 1 {
+		o.Interval = 1
+	}
+	return &Auditor{opt: o}
 }
 
-// Options returns the (defaulted) options the auditor runs with.
+// Options returns the options the auditor runs with, Interval at least 1.
 func (a *Auditor) Options() Options { return a.opt }
 
 // NoteSweep counts one whole-state sweep.
@@ -211,18 +195,18 @@ func (a *Auditor) Report() Report {
 	return out
 }
 
-// Failf records a violation, capturing the ring's most recent events as the
-// trail. ring may be nil. Recording stops at MaxViolations.
-func (a *Auditor) Failf(at sim.Time, ring *telemetry.Trace, invariant, format string, args ...any) {
-	if len(a.violations) >= a.opt.MaxViolations {
+// failf records a violation, capturing the ring's most recent events as the
+// trail. ring may be nil. Recording stops at maxViolations.
+func (a *Auditor) failf(at sim.Time, ring *telemetry.Trace, invariant, format string, args ...any) {
+	if len(a.violations) >= maxViolations {
 		a.truncated = true
 		return
 	}
 	v := Violation{At: at, Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
 	if ring != nil {
 		evs := ring.Events()
-		if len(evs) > a.opt.TrailDepth {
-			evs = evs[len(evs)-a.opt.TrailDepth:]
+		if len(evs) > trailDepth {
+			evs = evs[len(evs)-trailDepth:]
 		}
 		v.Trail = evs
 	}
@@ -260,67 +244,67 @@ type LineFacts struct {
 }
 
 // CheckLine applies the per-line conservation and legality rules.
-func (a *Auditor) CheckLine(at sim.Time, ring *telemetry.Trace, fam Family, f *LineFacts) {
+func (a *Auditor) CheckLine(at sim.Time, ring *telemetry.Trace, fam migration.Family, f *LineFacts) {
 	a.checks++
 
 	// Inclusion: an L1 may never hold a line its host's LLC lost.
 	if !f.L1StrayMask.Empty() {
-		a.Failf(at, ring, InvInclusion, "line %#x cached in L1(s) of hosts %v but absent from their LLC", f.Line, f.L1StrayMask)
+		a.failf(at, ring, InvInclusion, "line %#x cached in L1(s) of hosts %v but absent from their LLC", f.Line, f.L1StrayMask)
 	}
 
 	// The local-only idealisation has no cross-host sharing semantics at
 	// all: each host serves "shared" data from its own DRAM, so multiple
 	// exclusive copies are legitimate and the device directory never tracks
 	// anything. Only per-host inclusion (checked above) applies.
-	if fam == FamilyLocalOnly {
+	if fam == migration.FamilyLocalOnly {
 		return
 	}
 
 	// SWMR: at most one exclusive holder machine-wide, and an exclusive
 	// holder excludes every other copy.
 	if f.ExclCount > 1 {
-		a.Failf(at, ring, InvSWMR, "line %#x has %d exclusive holders (last: host %d in %v)", f.Line, f.ExclCount, f.ExclHost, f.ExclState)
+		a.failf(at, ring, InvSWMR, "line %#x has %d exclusive holders (last: host %d in %v)", f.Line, f.ExclCount, f.ExclHost, f.ExclState)
 	} else if f.ExclCount == 1 && !f.HolderMask.Only(f.ExclHost) {
-		a.Failf(at, ring, InvSWMR, "line %#x held %v by host %d while hosts %v also hold copies", f.Line, f.ExclState, f.ExclHost, f.HolderMask.Without(f.ExclHost))
+		a.failf(at, ring, InvSWMR, "line %#x held %v by host %d while hosts %v also hold copies", f.Line, f.ExclState, f.ExclHost, f.HolderMask.Without(f.ExclHost))
 	}
 
 	// Locally-resident blocks opt out of the device directory: kernel pages
 	// migrated to a host, and hardware-migrated (ME/I') lines. For them the
 	// rule is confinement — only the owner may cache the block and the
 	// directory must not track it.
-	if fam == FamilyKernel && f.PageOwner >= 0 {
+	if fam == migration.FamilyKernel && f.PageOwner >= 0 {
 		if !f.HolderMask.Without(f.PageOwner).Empty() {
-			a.Failf(at, ring, InvDirPrecision, "line %#x of page owned by host %d cached by hosts %v", f.Line, f.PageOwner, f.HolderMask)
+			a.failf(at, ring, InvDirPrecision, "line %#x of page owned by host %d cached by hosts %v", f.Line, f.PageOwner, f.HolderMask)
 		}
 		if f.HasDir {
-			a.Failf(at, ring, InvDirPrecision, "line %#x of locally-resident page (host %d) has a device-directory entry %+v", f.Line, f.PageOwner, f.Dir)
+			a.failf(at, ring, InvDirPrecision, "line %#x of locally-resident page (host %d) has a device-directory entry %+v", f.Line, f.PageOwner, f.Dir)
 		}
 		return
 	}
-	if fam == FamilyHardware && f.Migrated {
+	if fam == migration.FamilyHardware && f.Migrated {
 		// I'/ME legality (§4.3.2): the migrated bit confines the block to
 		// the owning host — cached there as ME, or uncached (I') — and the
 		// directory deliberately holds no entry for it.
 		if f.MigOwner < 0 {
-			a.Failf(at, ring, InvMigrated, "line %#x has its migrated bit set but its page has no owner", f.Line)
+			a.failf(at, ring, InvMigrated, "line %#x has its migrated bit set but its page has no owner", f.Line)
 		}
 		if f.HasDir {
-			a.Failf(at, ring, InvMigrated, "migrated line %#x has a device-directory entry %+v (I'/ME must be directory-Invalid)", f.Line, f.Dir)
+			a.failf(at, ring, InvMigrated, "migrated line %#x has a device-directory entry %+v (I'/ME must be directory-Invalid)", f.Line, f.Dir)
 		}
 		if f.MigOwner >= 0 && !f.HolderMask.Without(f.MigOwner).Empty() {
-			a.Failf(at, ring, InvMigrated, "migrated line %#x (owner %d) cached by hosts %v", f.Line, f.MigOwner, f.HolderMask)
+			a.failf(at, ring, InvMigrated, "migrated line %#x (owner %d) cached by hosts %v", f.Line, f.MigOwner, f.HolderMask)
 		}
 		if f.ExclCount == 1 && f.ExclState != cache.MigratedExclusive {
-			a.Failf(at, ring, InvMigrated, "migrated line %#x cached %v at host %d (want ME)", f.Line, f.ExclState, f.ExclHost)
+			a.failf(at, ring, InvMigrated, "migrated line %#x cached %v at host %d (want ME)", f.Line, f.ExclState, f.ExclHost)
 		}
 		if !f.SharedMask.Empty() {
-			a.Failf(at, ring, InvMigrated, "migrated line %#x held Shared by hosts %v", f.Line, f.SharedMask)
+			a.failf(at, ring, InvMigrated, "migrated line %#x held Shared by hosts %v", f.Line, f.SharedMask)
 		}
 		return
 	}
 	// A CXL-backed line must never be cached MigratedExclusive.
 	if f.ExclCount == 1 && f.ExclState == cache.MigratedExclusive {
-		a.Failf(at, ring, InvMigrated, "line %#x cached ME at host %d without its migrated bit set", f.Line, f.ExclHost)
+		a.failf(at, ring, InvMigrated, "line %#x cached ME at host %d without its migrated bit set", f.Line, f.ExclHost)
 	}
 
 	// Directory precision for CXL-backed lines: the entry's view must
@@ -329,24 +313,24 @@ func (a *Auditor) CheckLine(at sim.Time, ring *telemetry.Trace, fam Family, f *L
 	switch {
 	case f.HasDir && f.Dir.State == coherence.DirShared:
 		if f.ExclCount != 0 {
-			a.Failf(at, ring, InvDirPrecision, "line %#x directory-Shared but host %d holds it %v", f.Line, f.ExclHost, f.ExclState)
+			a.failf(at, ring, InvDirPrecision, "line %#x directory-Shared but host %d holds it %v", f.Line, f.ExclHost, f.ExclState)
 		}
 		if !f.Dir.Sharers.Describes(f.SharedMask) {
-			a.Failf(at, ring, InvDirPrecision, "line %#x directory sharers %v do not describe cached sharers %v", f.Line, f.Dir.Sharers, f.SharedMask)
+			a.failf(at, ring, InvDirPrecision, "line %#x directory sharers %v do not describe cached sharers %v", f.Line, f.Dir.Sharers, f.SharedMask)
 		}
 	case f.HasDir && f.Dir.State == coherence.DirModified:
 		own := int(f.Dir.Owner)
 		if !f.HolderMask.Only(own) {
-			a.Failf(at, ring, InvDirPrecision, "line %#x directory-Modified at host %d but cached by hosts %v", f.Line, own, f.HolderMask)
+			a.failf(at, ring, InvDirPrecision, "line %#x directory-Modified at host %d but cached by hosts %v", f.Line, own, f.HolderMask)
 		} else if f.ExclCount != 1 || f.ExclHost != own ||
 			(f.ExclState != cache.Modified && f.ExclState != cache.Exclusive) {
-			a.Failf(at, ring, InvDirPrecision, "line %#x directory-Modified at host %d but held %v (excl=%d@%d)", f.Line, own, f.ExclState, f.ExclCount, f.ExclHost)
+			a.failf(at, ring, InvDirPrecision, "line %#x directory-Modified at host %d but held %v (excl=%d@%d)", f.Line, own, f.ExclState, f.ExclCount, f.ExclHost)
 		}
 	default:
 		// No entry: conservation demands no host caches the line at all —
 		// a cached copy the directory forgot could never be invalidated.
 		if !f.HolderMask.Empty() {
-			a.Failf(at, ring, InvConservation, "line %#x cached by hosts %v with no directory entry", f.Line, f.HolderMask)
+			a.failf(at, ring, InvConservation, "line %#x cached by hosts %v with no directory entry", f.Line, f.HolderMask)
 		}
 	}
 }
@@ -370,19 +354,19 @@ type PageFacts struct {
 func (a *Auditor) CheckPage(at sim.Time, ring *telemetry.Trace, f *PageFacts) {
 	a.checks++
 	if f.GlobalCur >= f.Hosts || f.GlobalCnd >= f.Hosts {
-		a.Failf(at, ring, InvRemapAgree, "page %d global entry names out-of-range host (cur=%d cand=%d hosts=%d)", f.Page, f.GlobalCur, f.GlobalCnd, f.Hosts)
+		a.failf(at, ring, InvRemapAgree, "page %d global entry names out-of-range host (cur=%d cand=%d hosts=%d)", f.Page, f.GlobalCur, f.GlobalCnd, f.Hosts)
 	}
 	if f.GlobalCnt > 63 {
-		a.Failf(at, ring, InvRemapAgree, "page %d vote counter %d exceeds the 6-bit field", f.Page, f.GlobalCnt)
+		a.failf(at, ring, InvRemapAgree, "page %d vote counter %d exceeds the 6-bit field", f.Page, f.GlobalCnt)
 	}
 	if f.GlobalCur >= 0 && !f.HasLocal {
-		a.Failf(at, ring, InvRemapAgree, "page %d globally owned by host %d with no local remapping entry", f.Page, f.GlobalCur)
+		a.failf(at, ring, InvRemapAgree, "page %d globally owned by host %d with no local remapping entry", f.Page, f.GlobalCur)
 	}
 	if f.GlobalCur >= 0 && f.LocalCnt > 15 {
-		a.Failf(at, ring, InvRemapAgree, "page %d revocation counter %d exceeds the 4-bit field", f.Page, f.LocalCnt)
+		a.failf(at, ring, InvRemapAgree, "page %d revocation counter %d exceeds the 4-bit field", f.Page, f.LocalCnt)
 	}
 	if !f.OtherLocalMask.Empty() {
-		a.Failf(at, ring, InvRemapAgree, "page %d has local remapping entries at non-owner hosts %v (owner %d)", f.Page, f.OtherLocalMask, f.GlobalCur)
+		a.failf(at, ring, InvRemapAgree, "page %d has local remapping entries at non-owner hosts %v (owner %d)", f.Page, f.OtherLocalMask, f.GlobalCur)
 	}
 }
 
@@ -401,13 +385,13 @@ type CacheBoundFacts struct {
 func (a *Auditor) CheckRemapCache(at sim.Time, ring *telemetry.Trace, f *CacheBoundFacts) {
 	a.checks++
 	if f.Capacity > 0 && f.Cached > f.Capacity {
-		a.Failf(at, ring, InvRemapAgree, "%s holds %d entries over its %d capacity", f.Name, f.Cached, f.Capacity)
+		a.failf(at, ring, InvRemapAgree, "%s holds %d entries over its %d capacity", f.Name, f.Cached, f.Capacity)
 	}
 	if f.Dups != 0 {
-		a.Failf(at, ring, InvRemapAgree, "%s holds %d duplicate page tags", f.Name, f.Dups)
+		a.failf(at, ring, InvRemapAgree, "%s holds %d duplicate page tags", f.Name, f.Dups)
 	}
 	if f.Cached > 0 && (f.MinPage < 0 || f.MaxPage >= f.Pages) {
-		a.Failf(at, ring, InvRemapAgree, "%s caches out-of-range page (min=%d max=%d pages=%d)", f.Name, f.MinPage, f.MaxPage, f.Pages)
+		a.failf(at, ring, InvRemapAgree, "%s caches out-of-range page (min=%d max=%d pages=%d)", f.Name, f.MinPage, f.MaxPage, f.Pages)
 	}
 }
 
@@ -424,7 +408,7 @@ type AccountingFacts struct {
 func (a *Auditor) CheckAccounting(at sim.Time, ring *telemetry.Trace, f *AccountingFacts) {
 	a.checks++
 	if f.Gauge != f.Walk {
-		a.Failf(at, ring, InvAccounting, "host %d footprint gauge reads %d %s but the walk counted %d", f.Host, f.Gauge, f.What, f.Walk)
+		a.failf(at, ring, InvAccounting, "host %d footprint gauge reads %d %s but the walk counted %d", f.Host, f.Gauge, f.What, f.Walk)
 	}
 }
 
@@ -443,6 +427,6 @@ type ConservationFacts struct {
 func (a *Auditor) CheckConservation(at sim.Time, ring *telemetry.Trace, f *ConservationFacts) {
 	a.checks++
 	if f.Initial+int64(f.In)-int64(f.Out) != f.Resident {
-		a.Failf(at, ring, InvAccounting, "%s: initial %d + in %d - out %d != resident %d", f.What, f.Initial, f.In, f.Out, f.Resident)
+		a.failf(at, ring, InvAccounting, "%s: initial %d + in %d - out %d != resident %d", f.What, f.Initial, f.In, f.Out, f.Resident)
 	}
 }

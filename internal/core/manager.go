@@ -74,7 +74,7 @@ func NewManager(p Params) *Manager {
 		threshold: uint8(p.Threshold),
 		hosts:     p.Hosts,
 		static:    p.Static,
-		global:    NewGlobalTable(p.SharedPages, p.Hosts),
+		global:    NewGlobalTable(p.SharedPages),
 		gcache:    NewRemapCache(p.GlobalCacheEntries, p.GlobalCacheWays, p.SharedPages),
 		local:     NewLocalTables(p.SharedPages, p.Hosts),
 	}
@@ -226,13 +226,9 @@ func (m *Manager) Owner(page int64) int {
 func (m *Manager) MigratedPages(h int) int { return m.local[h].Count() }
 
 // OwnedPages returns the number of pages migrated to any host, from the
-// global table's O(1) per-slice occupancy counters (the auditor cross-checks
-// this against a full walk).
+// global table's O(1) occupancy counter (the auditor cross-checks it against
+// the local tables).
 func (m *Manager) OwnedPages() int { return m.global.OwnedPages() }
-
-// GlobalTableRef exposes the sharded global table for observability (slice
-// counts, per-slice occupancy, size accounting).
-func (m *Manager) GlobalTableRef() *GlobalTable { return m.global }
 
 // MigratedLines returns the number of lines currently migrated to host h,
 // from the local table's O(1) counter (the auditor cross-checks it against a

@@ -23,8 +23,8 @@ const (
 
 // GlobalEntry is one global remapping table record. In hardware this is 2
 // bytes up to 32 hosts (5-bit current host, 5-bit candidate host, 6-bit
-// counter) and 3 bytes beyond (8b+8b+6b); the simulator always keeps the
-// wide form and reports the per-config packed size via EntryBytes.
+// counter) and 3 bytes beyond (8b+8b+6b; config.GlobalRemapEntrySize); the
+// simulator always keeps the wide form.
 type GlobalEntry struct {
 	CurHost  int16 // host the page is partially migrated to, or NoHost
 	CandHost int16 // majority-vote candidate, or NoHost
@@ -33,111 +33,49 @@ type GlobalEntry struct {
 
 // GlobalTable is the in-memory global remapping table: one entry per
 // CXL-DSM page, resident in CXL memory (the remapping cache in front of it
-// is modelled by RemapCache). It is split into power-of-two address-hashed
-// slices sized from the host count, so device-side table bandwidth scales
-// with the cluster; each slice keeps an O(1) owned-page occupancy counter
-// the auditor cross-checks against a full walk. Page p lives in slice
-// p & (slices-1) at index p >> log2(slices) — pure storage reorganisation,
-// behaviourally identical to the flat table.
+// is modelled by RemapCache). It keeps an O(1) owned-page counter the
+// auditor cross-checks against the local tables.
 type GlobalTable struct {
-	slices     [][]GlobalEntry
-	owned      []int // pages with CurHost != NoHost, per slice
-	mask       int64
-	shift      uint
-	pages      int64
-	entryBytes int64
+	entries []GlobalEntry
+	owned   int // pages with CurHost != NoHost
 }
 
-// globalTableSlices picks the slice count for a host count: one slice per
-// host, rounded up to a power of two, capped at 64.
-func globalTableSlices(hosts int) int {
-	n := 1
-	for n < hosts && n < 64 {
-		n <<= 1
-	}
-	return n
-}
-
-// NewGlobalTable allocates entries for pages CXL-DSM pages, all unmigrated,
-// sliced for a cluster of hosts.
-func NewGlobalTable(pages int64, hosts int) *GlobalTable {
-	n := globalTableSlices(hosts)
-	t := &GlobalTable{
-		slices:     make([][]GlobalEntry, n),
-		owned:      make([]int, n),
-		mask:       int64(n - 1),
-		pages:      pages,
-		entryBytes: 2,
-	}
-	if hosts > 32 {
-		t.entryBytes = 3
-	}
-	for n > 1 {
-		n >>= 1
-		t.shift++
-	}
-	for s := range t.slices {
-		// Slice s holds pages {p < pages : p & mask == s}.
-		cnt := int64(0)
-		if int64(s) < pages {
-			cnt = (pages-int64(s)-1)>>t.shift + 1
-		}
-		sl := make([]GlobalEntry, cnt)
-		for i := range sl {
-			sl[i] = GlobalEntry{CurHost: NoHost, CandHost: NoHost}
-		}
-		t.slices[s] = sl
+// NewGlobalTable allocates entries for pages CXL-DSM pages, all unmigrated.
+func NewGlobalTable(pages int64) *GlobalTable {
+	t := &GlobalTable{entries: make([]GlobalEntry, pages)}
+	for i := range t.entries {
+		t.entries[i] = GlobalEntry{CurHost: NoHost, CandHost: NoHost}
 	}
 	return t
 }
 
 // Pages returns the number of pages covered.
-func (t *GlobalTable) Pages() int64 { return t.pages }
-
-// Slices returns the slice count.
-func (t *GlobalTable) Slices() int { return len(t.slices) }
+func (t *GlobalTable) Pages() int64 { return int64(len(t.entries)) }
 
 // Entry returns a pointer to page's record. Page indices are dense and
 // bounds-checked by the slice access. Callers must not change CurHost
-// through the pointer — use SetOwner, which maintains the per-slice
-// occupancy counters.
+// through the pointer — use SetOwner, which maintains the owned-page
+// counter.
 func (t *GlobalTable) Entry(page int64) *GlobalEntry {
-	return &t.slices[page&t.mask][page>>t.shift]
+	return &t.entries[page]
 }
 
 // SetOwner moves page's CurHost to h (NoHost to clear), maintaining the
-// slice's owned-page counter.
+// owned-page counter.
 func (t *GlobalTable) SetOwner(page int64, h int) {
-	s := page & t.mask
-	e := &t.slices[s][page>>t.shift]
+	e := &t.entries[page]
 	if (e.CurHost != NoHost) != (h != NoHost) {
 		if h != NoHost {
-			t.owned[s]++
+			t.owned++
 		} else {
-			t.owned[s]--
+			t.owned--
 		}
 	}
 	e.CurHost = int16(h)
 }
 
-// OwnedPages returns the number of pages currently migrated to any host,
-// summed O(slices) from the per-slice counters.
-func (t *GlobalTable) OwnedPages() int {
-	n := 0
-	for _, o := range t.owned {
-		n += o
-	}
-	return n
-}
-
-// SliceOwned returns slice s's owned-page counter.
-func (t *GlobalTable) SliceOwned(s int) int { return t.owned[s] }
-
-// EntryBytes returns the hardware bytes per entry at this table's width.
-func (t *GlobalTable) EntryBytes() int64 { return t.entryBytes }
-
-// SizeBytes returns the table's in-memory footprint (§4.4).
-func (t *GlobalTable) SizeBytes() int64 { return t.entryBytes * t.pages }
+// OwnedPages returns the number of pages currently migrated to any host.
+func (t *GlobalTable) OwnedPages() int { return t.owned }
 
 // LocalEntry is one per-host local remapping table record (4 bytes in
 // hardware: 28-bit local PFN + 4-bit counter). The simulator additionally

@@ -7,7 +7,7 @@ import (
 )
 
 func TestGlobalTableInit(t *testing.T) {
-	g := NewGlobalTable(100, 4)
+	g := NewGlobalTable(100)
 	if g.Pages() != 100 {
 		t.Fatalf("Pages = %d", g.Pages())
 	}
@@ -17,70 +17,50 @@ func TestGlobalTableInit(t *testing.T) {
 			t.Fatalf("page %d not initialized: %+v", p, e)
 		}
 	}
-	if g.SizeBytes() != 200 {
-		t.Fatalf("SizeBytes = %d, want 200 (2B/entry)", g.SizeBytes())
-	}
-	// Beyond 32 hosts the hardware entry widens to 3 bytes.
-	wide := NewGlobalTable(100, 256)
-	if wide.SizeBytes() != 300 {
-		t.Fatalf("wide SizeBytes = %d, want 300 (3B/entry)", wide.SizeBytes())
-	}
 }
 
 func TestGlobalEntryMutable(t *testing.T) {
-	g := NewGlobalTable(10, 4)
+	g := NewGlobalTable(10)
 	g.Entry(3).CandHost = 2
 	if g.Entry(3).CandHost != 2 {
 		t.Fatal("Entry does not return a mutable pointer")
 	}
 }
 
-// Property: the sharded table behaves exactly like a flat array of entries
-// for every slice count the host range produces, and the per-slice
-// owned-page counters always agree with a full walk.
+// Property: distinct pages never share an entry, and the owned-page
+// counter always agrees with a full walk.
 func TestGlobalTableShardingProperty(t *testing.T) {
-	for _, hosts := range []int{1, 2, 4, 16, 64, 256} {
-		for _, pages := range []int64{1, 3, 63, 64, 65, 1000} {
-			g := NewGlobalTable(pages, hosts)
-			if g.Slices()&(g.Slices()-1) != 0 {
-				t.Fatalf("hosts=%d: %d slices not a power of two", hosts, g.Slices())
+	const hosts = 256 // the host cap: host ids up to 255 fit CurHost
+	for _, pages := range []int64{1, 3, 63, 64, 65, 1000} {
+		g := NewGlobalTable(pages)
+		// Distinct pages must map to distinct storage.
+		seen := map[*GlobalEntry]int64{}
+		for p := int64(0); p < pages; p++ {
+			e := g.Entry(p)
+			if prev, dup := seen[e]; dup {
+				t.Fatalf("pages=%d: pages %d and %d alias", pages, prev, p)
 			}
-			// Distinct pages must map to distinct storage.
-			seen := map[*GlobalEntry]int64{}
-			for p := int64(0); p < pages; p++ {
-				e := g.Entry(p)
-				if prev, dup := seen[e]; dup {
-					t.Fatalf("hosts=%d pages=%d: pages %d and %d alias", hosts, pages, prev, p)
-				}
-				seen[e] = p
+			seen[e] = p
+		}
+		// The owned counter tracks SetOwner transitions.
+		for p := int64(0); p < pages; p += 2 {
+			g.SetOwner(p, int(p)%hosts)
+		}
+		walked := 0
+		for p := int64(0); p < pages; p++ {
+			if g.Entry(p).CurHost != NoHost {
+				walked++
 			}
-			// Owned counters track SetOwner transitions.
-			for p := int64(0); p < pages; p += 2 {
-				g.SetOwner(p, int(p)%hosts)
-			}
-			walked := 0
-			for p := int64(0); p < pages; p++ {
-				if g.Entry(p).CurHost != NoHost {
-					walked++
-				}
-			}
-			if g.OwnedPages() != walked {
-				t.Fatalf("hosts=%d pages=%d: OwnedPages %d != walk %d", hosts, pages, g.OwnedPages(), walked)
-			}
-			perSlice := 0
-			for s := 0; s < g.Slices(); s++ {
-				perSlice += g.SliceOwned(s)
-			}
-			if perSlice != walked {
-				t.Fatalf("per-slice sum %d != walk %d", perSlice, walked)
-			}
-			for p := int64(0); p < pages; p += 2 {
-				g.SetOwner(p, NoHost)
-				g.SetOwner(p, NoHost) // idempotent clear
-			}
-			if g.OwnedPages() != 0 {
-				t.Fatalf("OwnedPages %d after clearing all", g.OwnedPages())
-			}
+		}
+		if g.OwnedPages() != walked {
+			t.Fatalf("pages=%d: OwnedPages %d != walk %d", pages, g.OwnedPages(), walked)
+		}
+		for p := int64(0); p < pages; p += 2 {
+			g.SetOwner(p, NoHost)
+			g.SetOwner(p, NoHost) // idempotent clear
+		}
+		if g.OwnedPages() != 0 {
+			t.Fatalf("OwnedPages %d after clearing all", g.OwnedPages())
 		}
 	}
 }

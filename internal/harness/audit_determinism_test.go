@@ -50,7 +50,7 @@ func TestAuditorObservationOnly(t *testing.T) {
 		want := DigestResult(bare)
 		for _, am := range modesFor(k) {
 			req := o.Request(wl, k)
-			req.Audit = am.WithDefaults()
+			req.Audit = am
 			res, _, rep, err := Run(req)
 			if err != nil {
 				t.Fatalf("%v %v: %v", k, am.Mode, err)
@@ -76,7 +76,7 @@ func TestAuditorObservationOnly(t *testing.T) {
 func TestAuditedRunDeterminism(t *testing.T) {
 	o := auditDetOptions()
 	wl := o.Workloads[0]
-	aopt := audit.Options{Mode: audit.Quantum}.WithDefaults()
+	aopt := audit.Options{Mode: audit.Quantum}
 
 	req := o.Request(wl, migration.PIPM)
 	req.Audit = aopt
@@ -144,7 +144,7 @@ func TestGoldenQuickSweepAudited(t *testing.T) {
 	if os.Getenv("PIPM_FULL_AUDITED_GOLDEN") != "" {
 		workloads = o.Workloads
 	}
-	aopt := audit.Options{Mode: audit.Quantum}.WithDefaults()
+	aopt := audit.Options{Mode: audit.Quantum}
 	runner := NewRunner(Options{})
 
 	for _, wl := range workloads {

@@ -37,7 +37,7 @@ func exportBytes(t *testing.T, key string, tout *telemetry.Output) (ts, tr []byt
 func TestInstrumentedRunDeterminism(t *testing.T) {
 	o := auditDetOptions()
 	o.Telemetry = telemetry.Options{SampleInterval: 10 * sim.Microsecond, Trace: true}
-	aopt := audit.Options{Mode: audit.Paranoid}.WithDefaults()
+	aopt := audit.Options{Mode: audit.Paranoid}
 
 	rows := []workload.Params{
 		o.Workloads[0],

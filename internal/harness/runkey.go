@@ -58,6 +58,11 @@ func keyOf(cfg config.Config, wl workload.Params, k migration.Kind, records, see
 	}
 	if aopt.Enabled() {
 		enc.value("audit", reflect.ValueOf(aopt))
+		// The retired violation cap and trail depth, hashed at the zero
+		// value the front ends always left them at, so audited keys
+		// computed while the fields existed stay valid.
+		enc.int64("MaxViolations", 0)
+		enc.int64("TrailDepth", 0)
 	}
 	var key RunKey
 	h.Sum(key[:0])

@@ -10,12 +10,12 @@ import (
 
 // TestClusterScaleAuditedSmoke runs short 64- and 256-host simulations under
 // the paranoid auditor: every invariant sweep (SWMR, directory precision,
-// slice-counter conservation, remap agreement) executes against the widest
+// owned-page conservation, remap agreement) executes against the widest
 // exact sharer bitmask and against the summary representation with its
 // region-granular Describes check — state no 4-host run can reach. PIPM
-// exercises the sharded directory and global table; Nomad exercises the
-// sparse hotness rows the kernel family switches to past 64 hosts. CI runs
-// this under -race as the cluster-scale smoke.
+// exercises the sharded directory and 3-byte global remap entries; Nomad
+// exercises the sparse hotness rows the kernel family switches to past 64
+// hosts. CI runs this under -race as the cluster-scale smoke.
 func TestClusterScaleAuditedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("audited cluster runs are too slow for -short")

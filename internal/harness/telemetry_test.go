@@ -155,7 +155,7 @@ func TestRunKeyTelemetryFolding(t *testing.T) {
 		t.Fatal("enabled telemetry did not change the run key")
 	}
 	audited := keyOf(o.Cfg, wl, migration.PIPM, 100, 1,
-		telemetry.Options{}, audit.Options{Mode: audit.Quantum}.WithDefaults())
+		telemetry.Options{}, audit.Options{Mode: audit.Quantum})
 	if audited == base || audited == enabled {
 		t.Fatal("enabled auditing did not get its own run key")
 	}

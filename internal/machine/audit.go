@@ -5,8 +5,8 @@ import (
 
 	"pipm/internal/audit"
 	"pipm/internal/cache"
-	"pipm/internal/coherence"
 	"pipm/internal/config"
+	pipmcore "pipm/internal/core"
 	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/telemetry"
@@ -85,20 +85,6 @@ func (m *Machine) AuditReport() audit.Report {
 	return m.aud.Report()
 }
 
-// auditFamily maps the machine's scheme family to the auditor's.
-func (m *Machine) auditFamily() audit.Family {
-	switch m.family {
-	case migration.FamilyKernel:
-		return audit.FamilyKernel
-	case migration.FamilyHardware:
-		return audit.FamilyHardware
-	case migration.FamilyLocalOnly:
-		return audit.FamilyLocalOnly
-	default:
-		return audit.FamilyNative
-	}
-}
-
 // noteAuditTransition marks that a protocol transition happened; in paranoid
 // mode the machine sweeps at the next consistent point (after the access
 // returns — mid-access state is legitimately inconsistent, e.g. a directory
@@ -119,93 +105,53 @@ func (m *Machine) auditTick() {
 	m.eng.At(m.eng.Now()+m.auditEvery, m.auditTickFn)
 }
 
-// auditLine checks the cross-host state of one shared line (the paranoid
-// per-access check; the quantum sweep applies the same rules to every line).
+// auditLine checks the cross-host state of one shared line after a shared
+// access (the paranoid per-access check). It gathers the line's facts
+// through Peek and applies the sweep's CheckLine rules to them.
 func (m *Machine) auditLine(line config.Addr) {
 	if m.aud == nil {
 		return
 	}
-	now := m.eng.Now()
-	exclusiveAt, sharers := -1, 0
-	var exclusiveState cache.State
-	var holders, sharedHolders coherence.HostSet
+	f := audit.LineFacts{Line: line, ExclHost: -1}
 	for _, hs := range m.hosts {
 		st, ok := hs.llc.Peek(line)
 		if !ok {
-			// Inclusion: no L1 may hold a line its LLC lost.
 			for _, c := range hs.cores {
 				if _, l1ok := c.l1.Peek(line); l1ok {
-					m.aud.Failf(now, m.trc, audit.InvInclusion,
-						"host %d core %d caches line %#x absent from its LLC", hs.id, c.id, uint64(line))
+					f.L1StrayMask.Add(hs.id)
 				}
 			}
 			continue
 		}
-		holders.Add(hs.id)
-		switch st {
-		case cache.Modified, cache.Exclusive, cache.MigratedExclusive:
-			if exclusiveAt >= 0 {
-				m.aud.Failf(now, m.trc, audit.InvSWMR,
-					"line %#x exclusive at hosts %d and %d", uint64(line), exclusiveAt, hs.id)
-			}
-			exclusiveAt = hs.id
-			exclusiveState = st
-		case cache.Shared:
-			sharers++
-			sharedHolders.Add(hs.id)
+		f.HolderMask.Add(hs.id)
+		if st == cache.Shared {
+			f.SharedMask.Add(hs.id)
+		} else {
+			f.ExclCount++
+			f.ExclHost = hs.id
+			f.ExclState = st
 		}
 	}
-	if exclusiveAt >= 0 && sharers > 0 {
-		m.aud.Failf(now, m.trc, audit.InvSWMR,
-			"line %#x exclusive at host %d while %d hosts share it", uint64(line), exclusiveAt, sharers)
-	}
+	f.Dir, f.HasDir = m.devDir.Peek(line)
+	m.ownerFacts(&f, int64(line-m.audScratch.baseLine))
+	m.aud.CheckLine(m.eng.Now(), m.trc, m.family, &f)
+}
 
-	// ME implies the line is migrated to that host and the device directory
-	// holds no entry (§4.3: migrated lines need none).
-	if exclusiveAt >= 0 && exclusiveState == cache.MigratedExclusive {
-		if m.mgr == nil {
-			m.aud.Failf(now, m.trc, audit.InvMigrated,
-				"line %#x in ME without a PIPM manager", uint64(line))
-			return
-		}
-		page := m.amap.SharedPageIndex(line << config.LineShift)
-		if m.mgr.Owner(page) != exclusiveAt {
-			m.aud.Failf(now, m.trc, audit.InvMigrated,
-				"line %#x ME at host %d but page owned by %d", uint64(line), exclusiveAt, m.mgr.Owner(page))
-		}
-		if _, ok := m.devDir.Peek(line); ok {
-			m.aud.Failf(now, m.trc, audit.InvMigrated,
-				"line %#x has a device directory entry while migrated", uint64(line))
+// ownerFacts fills f's family ownership fields for the shared line at index
+// idx: the hardware family's page owner and migrated bit, and the kernel
+// family's page-table owner.
+func (m *Machine) ownerFacts(f *audit.LineFacts, idx int64) {
+	page := idx >> config.PageLineShift
+	f.MigOwner, f.PageOwner = -1, -1
+	if m.mgr != nil {
+		if owner := m.mgr.Owner(page); owner != pipmcore.NoHost {
+			f.MigOwner = owner
+			f.Migrated = m.mgr.LineMigrated(owner, page, int(idx)&(config.LinesPerPage-1))
 		}
 	}
-
-	// Directory precision: an M entry's owner must actually hold the line
-	// exclusively; S entries' sharers must hold it.
-	if e, ok := m.devDir.Peek(line); ok {
-		switch e.State {
-		case coherence.DirModified:
-			st, held := m.hosts[e.Owner].llc.Peek(line)
-			if !held || st == cache.Shared {
-				m.aud.Failf(now, m.trc, audit.InvDirPrecision,
-					"line %#x M-owned by host %d which holds %v/%v", uint64(line), e.Owner, st, held)
-			}
-		case coherence.DirShared:
-			if e.Sharers.Exact() {
-				it := e.Sharers.Iter(len(m.hosts))
-				for it.Next() {
-					if !holders.Contains(it.Host()) {
-						m.aud.Failf(now, m.trc, audit.InvDirPrecision,
-							"line %#x lists sharer %d which holds nothing", uint64(line), it.Host())
-					}
-				}
-			} else if !e.Sharers.Describes(sharedHolders) {
-				// Summary sets can't name individual sharers; the invariant is
-				// that the count is exact and every holder falls in a present
-				// region.
-				m.aud.Failf(now, m.trc, audit.InvDirPrecision,
-					"line %#x sharer summary %v does not describe holders %v",
-					uint64(line), e.Sharers, sharedHolders)
-			}
+	if m.pt != nil {
+		if o := m.pt.Owner(page); o != migration.ToCXL {
+			f.PageOwner = o
 		}
 	}
 }

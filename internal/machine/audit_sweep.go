@@ -150,12 +150,9 @@ func (m *Machine) auditSweep(full bool) {
 	}
 
 	// Pass 2: per-line rules over every line that is cached or tracked.
-	fam := m.auditFamily()
 	var f audit.LineFacts
 	for _, idx := range a.touched {
 		g := &a.agg[idx]
-		page := int64(idx) >> config.PageLineShift
-		lip := int(idx) & (config.LinesPerPage - 1)
 		f = audit.LineFacts{
 			Line:        a.baseLine + config.Addr(idx),
 			HolderMask:  g.holders,
@@ -166,21 +163,9 @@ func (m *Machine) auditSweep(full bool) {
 			ExclState:   g.exclState,
 			HasDir:      g.hasDir,
 			Dir:         g.dir,
-			MigOwner:    -1,
-			PageOwner:   -1,
 		}
-		if m.mgr != nil {
-			if owner := m.mgr.Owner(page); owner != pipmcore.NoHost {
-				f.MigOwner = owner
-				f.Migrated = m.mgr.LineMigrated(owner, page, lip)
-			}
-		}
-		if m.pt != nil {
-			if o := m.pt.Owner(page); o != migration.ToCXL {
-				f.PageOwner = o
-			}
-		}
-		m.aud.CheckLine(now, m.trc, fam, &f)
+		m.ownerFacts(&f, int64(idx))
+		m.aud.CheckLine(now, m.trc, m.family, &f)
 	}
 
 	// Pass 3: family state tables, flow conservation, footprint accounting.
@@ -234,18 +219,10 @@ func (m *Machine) auditHardwareTables(now sim.Time, full bool) {
 		totPages += walkPages[h]
 		totLines += walkLines[h]
 	}
-	// The global table's per-slice occupancy counters (kept O(1) by
-	// SetOwner) must agree with both a full entry walk and the owner-side
-	// local-table recount — the sharded layout may not lose pages.
-	gt := m.mgr.GlobalTableRef()
-	var ownedSlices int64
-	for s := 0; s < gt.Slices(); s++ {
-		ownedSlices += int64(gt.SliceOwned(s))
-	}
+	// The global table's O(1) owned-page counter (kept by SetOwner) must
+	// agree with the owner-side local-table recount.
 	m.aud.CheckAccounting(now, m.trc, &audit.AccountingFacts{
-		Host: -1, What: "globally-owned pages (slice counters)", Gauge: ownedSlices, Walk: totPages})
-	m.aud.CheckAccounting(now, m.trc, &audit.AccountingFacts{
-		Host: -1, What: "globally-owned pages (OwnedPages)", Gauge: int64(gt.OwnedPages()), Walk: totPages})
+		Host: -1, What: "globally-owned pages (OwnedPages)", Gauge: int64(m.mgr.OwnedPages()), Walk: totPages})
 
 	ms := m.mgr.Stats()
 	var initial int64

@@ -1,9 +1,15 @@
 package machine
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"pipm/internal/audit"
+	"pipm/internal/cache"
+	"pipm/internal/coherence"
+	"pipm/internal/config"
 	"pipm/internal/migration"
 )
 
@@ -88,5 +94,73 @@ func TestAuditDetectsSeededCorruption(t *testing.T) {
 	run(t, m)
 	if len(m.AuditViolations()) == 0 {
 		t.Fatal("auditor missed a seeded double-writer")
+	}
+}
+
+// TestAuditLineMatchesSweep seeds one corruption per row into a fresh
+// machine and requires the per-access line check to report, string for
+// string, what the whole-state sweep reports for that line: both must apply
+// the same per-line rules.
+func TestAuditLineMatchesSweep(t *testing.T) {
+	const (
+		page = int64(0)
+		lip  = 5
+	)
+	cases := []struct {
+		name string
+		kind migration.Kind
+		seed func(m *Machine, line config.Addr)
+	}{
+		{"double M writer", migration.Native, func(m *Machine, line config.Addr) {
+			m.hosts[0].llc.Fill(line, cache.Modified)
+			m.hosts[1].llc.Fill(line, cache.Modified)
+			m.devDir.Update(line, coherence.Entry{State: coherence.DirModified, Owner: 1})
+		}},
+		{"cached line without its directory entry", migration.Native, func(m *Machine, line config.Addr) {
+			m.hosts[0].llc.Fill(line, cache.Shared)
+			m.devDir.Update(line, coherence.Entry{State: coherence.DirShared, Sharers: coherence.NewSharerSet(m.shShift).With(0)})
+			m.devDir.Remove(line)
+		}},
+		{"ME copy with its migrated bit cleared", migration.PIPM, func(m *Machine, line config.Addr) {
+			for i := 0; i < m.cfg.PIPM.MigrationThreshold; i++ {
+				m.mgr.DeviceAccess(0, page)
+			}
+			if !m.mgr.MigrateLine(0, page, lip) {
+				t.Fatal("could not migrate the line")
+			}
+			m.hosts[0].llc.Fill(line, cache.MigratedExclusive)
+			m.mgr.DemoteLine(0, page, lip)
+		}},
+		{"kernel page cached at another host", migration.Memtis, func(m *Machine, line config.Addr) {
+			m.pt.Set(page, 0)
+			m.hosts[1].llc.Fill(line, cache.Shared)
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			m := build(t, testCfg(), tc.kind)
+			if err := m.EnableAuditor(audit.Options{Mode: audit.Paranoid}); err != nil {
+				t.Fatal(err)
+			}
+			line := m.amap.SharedAddr(config.Addr(page)*config.PageBytes + lip*config.LineBytes).Line()
+			tc.seed(m, line)
+
+			m.auditLine(line)
+			perLine := m.AuditViolations()
+			if len(perLine) == 0 {
+				t.Fatal("per-line check missed the seeded corruption")
+			}
+			m.auditSweep(false)
+			var sweep []string
+			for _, v := range m.AuditViolations()[len(perLine):] {
+				if strings.Contains(v, fmt.Sprintf("line %#x ", uint64(line))) {
+					sweep = append(sweep, v)
+				}
+			}
+			if !reflect.DeepEqual(perLine, sweep) {
+				t.Fatalf("per-line check and sweep disagree on line %#x:\nper-line: %q\nsweep:    %q", uint64(line), perLine, sweep)
+			}
+		})
 	}
 }

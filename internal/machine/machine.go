@@ -349,16 +349,7 @@ func (m *Machine) sampleFootprint() {
 		return
 	}
 	for h := 0; h < m.cfg.Hosts; h++ {
-		var pages, lines int64
-		switch {
-		case m.pt != nil:
-			pages = int64(m.pt.Resident(h))
-			lines = pages * config.LinesPerPage
-		case m.mgr != nil:
-			pages = int64(m.mgr.MigratedPages(h))
-			lines = int64(m.mgr.MigratedLines(h))
-		}
-		m.col.SampleFootprint(h, pages, lines)
+		m.col.SampleFootprint(h, m.residentPages(h), m.residentLines(h))
 	}
 	m.eng.At(m.eng.Now()+m.cfg.Kernel.Interval, m.sampleFootprintFn)
 }

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+
 	"pipm/internal/cache"
 	"pipm/internal/coherence"
 	"pipm/internal/config"
@@ -59,8 +61,9 @@ func (m *Machine) evictHWShared(h *host, now sim.Time, page int64, addr, line co
 		// ME eviction (case ④): dirty data returns to local DRAM only.
 		entry, _ := m.mgr.LocalLookup(h.id, page)
 		if entry == nil {
-			// ME victim whose remapping vanished underneath it: nowhere to go.
-			return
+			// A revocation drops the owner's cached lines of the page in the
+			// access that removes the entry, so no ME copy outlives it.
+			panic(fmt.Sprintf("machine: ME victim line %#x of page %d at host %d has no local remapping entry", uint64(line), page, h.id))
 		}
 		if m.vals != nil {
 			m.vals.wbToLocal(h.id, line)

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"pipm/internal/cache"
@@ -15,7 +17,9 @@ import (
 // victim returns to its local frame (case ④), an owned M victim — and an
 // owned E victim while the E-extension is on — is absorbed as incremental
 // migration (case ①), and everything else leaves through the ordinary CXL
-// path. Host 0 owns page 0 through the majority vote in every row.
+// path. An ME victim with no local remapping entry has nowhere to put its
+// dirty data and panics. Host 0 owns page 0 through the majority vote in
+// every row.
 func TestHWEvictionOutcomes(t *testing.T) {
 	const (
 		page = int64(0)
@@ -40,6 +44,7 @@ func TestHWEvictionOutcomes(t *testing.T) {
 		wantLink     int
 		wantMigrated bool // migrated bit after the eviction
 		wantEvent    bool // EvLineMigrate emitted
+		wantPanic    bool
 	}{
 		{name: "ME victim", host: 0, state: cache.MigratedExclusive, migrateOnE: true, migrated: true,
 			wantLocalWB: 1, wantLink: linkNone, wantMigrated: true},
@@ -51,6 +56,8 @@ func TestHWEvictionOutcomes(t *testing.T) {
 			wantLink: linkNone},
 		{name: "non-owner M written back to CXL", host: 1, state: cache.Modified, migrateOnE: true,
 			wantCXLWB: 1, wantLink: linkData},
+		{name: "ME victim without a local entry panics", host: 1, state: cache.MigratedExclusive, migrateOnE: true,
+			wantPanic: true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -81,7 +88,17 @@ func TestHWEvictionOutcomes(t *testing.T) {
 			localW, cxlW := h.dram.Stats().Writes, m.cxlMem.Stats().Writes
 			link := m.fabric.TotalBytes()
 
+			if tc.wantPanic {
+				defer func() {
+					if r := recover(); !strings.Contains(fmt.Sprint(r), "page 0 at host 1") {
+						t.Errorf("evictHWShared panicked with %v, want a panic naming page 0 and host 1", r)
+					}
+				}()
+			}
 			m.evictHWShared(h, 0, page, addr, line, tc.state)
+			if tc.wantPanic {
+				return
+			}
 
 			if got := h.dram.Stats().Writes - localW; got != tc.wantLocalWB {
 				t.Errorf("local DRAM writes %d, want %d", got, tc.wantLocalWB)

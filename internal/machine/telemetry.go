@@ -151,7 +151,9 @@ func (m *Machine) registerInstruments() {
 	}
 }
 
-// residentPages reports host h's migrated pages resident in local DRAM.
+// residentPages reports host h's migrated pages resident in local DRAM. It
+// and residentLines are the one footprint definition: the Fig 13 sampler,
+// the telemetry gauges and the auditor's accounting check all read them.
 func (m *Machine) residentPages(h int) int64 {
 	switch {
 	case m.pt != nil:

@@ -96,11 +96,6 @@ type Collector struct {
 	Demotions  uint64
 	LinesMoved uint64 // incremental line migrations (PIPM family)
 	BytesMoved uint64 // explicit migration data transfer bytes
-
-	// Demand-side queueing observed on shared resources, split by whether
-	// migration transfers were also using them (the Fig. 4 "page transfer"
-	// attribution input).
-	DemandQueueDelay sim.Time
 }
 
 // New returns a collector for the given host count.

@@ -69,13 +69,14 @@ func TestTraceJSONNil(t *testing.T) {
 // original, for both the time-series and the Chrome trace writers.
 func TestOutputJSONExportIdentity(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("host0.served")
-	g := reg.Gauge("host0.footprint.pages")
+	var served, pages float64
+	reg.GaugeFunc("host0.served", func() float64 { return served })
+	reg.GaugeFunc("host0.footprint.pages", func() float64 { return pages })
 	h := reg.Histogram("host0.lat")
 	tr := NewTrace(4)
 	for i := 0; i < 7; i++ {
-		c.Inc()
-		g.Set(float64(i) / 3)
+		served++
+		pages = float64(i) / 3
 		h.Observe(sim.Time(10 * i))
 		tr.Emit(sim.Time(50*i), sim.Time(i), EvLineMigrate, 0, int64(i), 1)
 		reg.Snapshot(sim.Time(100 * i))

@@ -1,10 +1,10 @@
 // Package telemetry is the simulator's observability layer: a registry of
-// typed instruments (counters, gauges, log2-bucketed latency histograms)
+// instruments (sampled gauge functions, log2-bucketed latency histograms)
 // registered per component, an interval sampler driven by the sim event heap
 // that snapshots every instrument into a compact time-series, and a bounded
 // structured event trace exportable as Chrome trace-event / Perfetto JSON.
 //
-// The subsystem is zero-overhead when disabled: every instrument method and
+// The subsystem is zero-overhead when disabled: every histogram method and
 // the trace emitter are safe on nil receivers, so a disabled machine holds
 // nil handles and each hot-path hook costs exactly one predictable branch
 // (pinned by BenchmarkTelemetryDisabledOverhead at the repo root).
@@ -66,48 +66,6 @@ type TimeSeries struct {
 	Samples []Sample
 }
 
-// Counter is a monotonically increasing instrument. The nil Counter is a
-// valid no-op.
-type Counter struct{ v uint64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a set-to-current-value instrument. The nil Gauge is a valid no-op.
-type Gauge struct{ v float64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram is a log2-bucketed latency histogram: an observation v lands in
 // bucket bits.Len64(v), so bucket b covers [2^(b-1), 2^b). The nil Histogram
 // is a valid no-op, which is the disabled-telemetry fast path.
@@ -160,26 +118,6 @@ func (h *Histogram) Bucket(b int) uint64 {
 		return 0
 	}
 	return h.buckets[b]
-}
-
-// Counter registers and returns a named counter. Nil registry → nil handle.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.register(name, func() float64 { return float64(c.v) })
-	return c
-}
-
-// Gauge registers and returns a named gauge. Nil registry → nil handle.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.register(name, func() float64 { return g.v })
-	return g
 }
 
 // GaugeFunc registers a sampled gauge backed by fn, read at snapshot time.

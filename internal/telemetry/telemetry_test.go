@@ -12,16 +12,11 @@ func TestNilSafety(t *testing.T) {
 	// Every handle obtained from a nil registry, and the nil trace, must be
 	// inert: this is the disabled-telemetry fast path the machine relies on.
 	var r *Registry
-	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.Histogram("h")
 	r.GaugeFunc("f", func() float64 { return 1 })
 	r.Snapshot(0)
-	c.Inc()
-	c.Add(10)
-	g.Set(3)
 	h.Observe(5 * sim.Nanosecond)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 {
 		t.Fatalf("nil instruments recorded values")
 	}
 	if r.Series() != nil || r.Histograms() != nil {
@@ -37,12 +32,13 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegistrySampling(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("reqs")
-	r.GaugeFunc("twice", func() float64 { return 2 * float64(c.Value()) })
+	var reqs uint64
+	r.GaugeFunc("reqs", func() float64 { return float64(reqs) })
+	r.GaugeFunc("twice", func() float64 { return 2 * float64(reqs) })
 
-	c.Add(3)
+	reqs += 3
 	r.Snapshot(10 * sim.Microsecond)
-	c.Add(4)
+	reqs += 4
 	r.Snapshot(20 * sim.Microsecond)
 
 	s := r.Series()
@@ -105,13 +101,14 @@ func TestTraceRingBound(t *testing.T) {
 // sampleOutput builds a small two-host output with events and series.
 func sampleOutput() *Output {
 	r := NewRegistry()
-	foot := r.Counter("h0.footprint.pages")
+	var foot uint64
+	r.GaugeFunc("h0.footprint.pages", func() float64 { return float64(foot) })
 	r.GaugeFunc("h1.link.up.bytes", func() float64 { return 128 })
 	h := r.Histogram("lat.cxl")
 	h.Observe(300 * sim.Nanosecond)
-	foot.Add(2)
+	foot += 2
 	r.Snapshot(5 * sim.Microsecond)
-	foot.Add(1)
+	foot++
 	r.Snapshot(10 * sim.Microsecond)
 
 	tr := NewTrace(16)
